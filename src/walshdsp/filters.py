@@ -27,6 +27,7 @@ from walshdsp.transforms import (
     TIME,
     _as_coefficients,
     _bits_of,
+    binary_unit,
     wht_sequency,
 )
 
@@ -150,7 +151,7 @@ def filter_quantum(signal, spec: FilterSpec, *, swapped: bool = False) -> Filter
     spec.validate_for(len(signal))
     encoded, scale = simulator.amplitude_encode(signal)
     # ancilla |0> on top: amplitudes occupy the lower half of the larger index space
-    amps = np.zeros(2 << n, dtype=np.complex128)
+    amps = np.zeros(2 << n)
     amps[: 1 << n] = encoded.amplitudes
     state = simulator.Statevector(n + 1, amps)
     circuit = circuits.build_filter_circuit(n, spec, swapped=swapped)
@@ -158,9 +159,9 @@ def filter_quantum(signal, spec: FilterSpec, *, swapped: bool = False) -> Filter
     pass_outcome = 1 if swapped else 0
     pass_amps, p_pass = simulator.project_ancilla(final, n, pass_outcome)
     stop_amps, p_stop = simulator.project_ancilla(final, n, 1 - pass_outcome)
-    # every gate is real, so the branches are real up to representation noise
-    pass_vals = pass_amps.real * scale
-    stop_vals = stop_amps.real * scale
+    # the state is float64 throughout: every gate is real
+    pass_vals = pass_amps * scale
+    stop_vals = stop_amps * scale
     return FilterResult(
         Coefficients(pass_vals, TIME),
         Coefficients(stop_vals, TIME),
@@ -205,12 +206,16 @@ def compare(a, b) -> dict[str, float]:
     bv = b.values if isinstance(b, Coefficients) else np.asarray(b, dtype=np.float64)
     if av.size != bv.size:
         raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
-    diff = av - bv
-    l2_abs = float(np.linalg.norm(diff))
-    ref = float(np.linalg.norm(bv))
+    # measured in binary units of the larger peak, so that the norms of huge
+    # or tiny signals neither overflow nor underflow
+    peak = max(np.max(np.abs(av), initial=0.0), np.max(np.abs(bv), initial=0.0))
+    unit = binary_unit(peak) if 0.0 < peak < np.inf else 1.0
+    diff = av / unit - bv / unit
+    l2_diff = float(np.linalg.norm(diff))
+    ref = float(np.linalg.norm(bv / unit))
     if ref == 0.0:
-        l2_rel = 0.0 if l2_abs == 0.0 else float("inf")
+        l2_rel = 0.0 if l2_diff == 0.0 else float("inf")
     else:
-        l2_rel = l2_abs / ref
-    linf = float(np.max(np.abs(diff))) if diff.size else 0.0
-    return {"l2_abs": l2_abs, "l2_rel": l2_rel, "linf": linf}
+        l2_rel = l2_diff / ref
+    linf = unit * float(np.max(np.abs(diff))) if diff.size else 0.0
+    return {"l2_abs": unit * l2_diff, "l2_rel": l2_rel, "linf": linf}

@@ -10,23 +10,39 @@ every open control reads 0 and every closed control reads 1. A CNOT is the
 single-closed-control case; an MCX with no controls degenerates to X. All
 five kinds are real involutions, which the tests lean on heavily.
 
-Gate application is specialized per kind with vectorized index arithmetic
-rather than generic matrix embedding, keeping the ±1/sqrt(2) arithmetic exact
-for the permutation-like gates.
+Amplitudes keep the kind of the input: a real state is stored as float64 and
+stays real through every gate, a complex state is stored as complex128.
+
+run_circuit compiles the gate list into layers and makes one pass per layer
+instead of one per gate:
+
+* a run of H gates on distinct qubits is one butterfly stage per qubit (the
+  kernel of the classical fast transform), scaled once by 2**(-k/2);
+* a run of two or more X/CNOT/SWAP gates is a single GF(2)-affine map of the
+  basis indices, composed from the gates' action on index 0 and the unit
+  indices, and applied as one gather;
+* an MCX, or a lone X/CNOT/SWAP, exchanges two strided sub-views of the
+  amplitudes reshaped to one axis per qubit, so no index array is built.
+
+The layers come from the gate list alone. apply_gate keeps the per-gate
+index-array kernel as the slow reference the compiled path is tested
+against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from walshdsp.transforms import Coefficients, SizingError, TIME
+from walshdsp.transforms import TIME, Coefficients, SizingError, _fwht_inplace, binary_unit
 
 OPEN = "open"
 CLOSED = "closed"
 
 _GATE_KINDS = ("H", "X", "CNOT", "SWAP", "MCX")
+_PERMUTATION_KINDS = ("X", "CNOT", "SWAP")
 _NORM_TOL = 1e-10
 _RSQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -108,19 +124,24 @@ def mcx(controls, target: int) -> Gate:
 
 @dataclass(frozen=True, eq=False)
 class Statevector:
-    """Unit-norm complex amplitudes over 2**n_qubits little-endian indices."""
+    """Unit-norm amplitudes over 2**n_qubits little-endian indices.
+
+    Real input is stored as float64, complex input as complex128.
+    """
 
     n_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = np.asarray(self.amplitudes)
+        amps = amps.astype(np.complex128 if np.iscomplexobj(amps) else np.float64, copy=False)
         if amps.ndim != 1 or amps.size != 1 << self.n_qubits:
             raise ValueError(
                 f"expected 2**{self.n_qubits} amplitudes, got shape {amps.shape}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > _NORM_TOL:
+        # written so that a NaN norm fails the check
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise NormalizationError(f"state norm {norm} is not 1")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -129,7 +150,7 @@ def basis_state(n_qubits: int, index: int = 0) -> Statevector:
     """The computational basis state |index> on n_qubits qubits."""
     if not 0 <= index < (1 << n_qubits):
         raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
+    amps = np.zeros(1 << n_qubits)
     amps[index] = 1.0
     return Statevector(n_qubits, amps)
 
@@ -173,16 +194,101 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     return Statevector(state.n_qubits, amps)
 
 
+def _runs(gates):
+    """Split a gate list into maximal layers, in order.
+
+    A layer is a run of H gates on distinct qubits, a run of X/CNOT/SWAP
+    gates, or a single MCX. Distinct qubits bound the growth of the unscaled
+    butterflies to 2**(n/2) before the run is scaled.
+    """
+    run: list[Gate] = []
+    for gate in gates:
+        if run and run[0].kind == "H":
+            joins = gate.kind == "H" and all(g.qubits != gate.qubits for g in run)
+        else:
+            joins = bool(run) and run[0].kind in _PERMUTATION_KINDS and gate.kind in _PERMUTATION_KINDS
+        if not joins and run:
+            yield run
+            run = []
+        run.append(gate)
+    if run:
+        yield run
+
+
+def _source_index(run: list[Gate], n_qubits: int) -> np.ndarray:
+    """Gather index of a run of X/CNOT/SWAP gates: out[j] = in[source[j]].
+
+    Every gate is an affine involution of the index bits, so the source map
+    j -> g1(g2(...gk(j))) is affine over GF(2): source(j) = A j ^ c. It is
+    held as its action on index 0 (c) and on the unit indices (the columns
+    of A), which composing one more gate on the right updates in O(1), and
+    materialised as the XOR of a table over the high index bits (offset by
+    c) and one over the low bits.
+    """
+    offset = 0
+    columns = [1 << b for b in range(n_qubits)]
+    for gate in run:
+        if gate.kind == "X":
+            offset ^= columns[gate.qubits[0]]
+        elif gate.kind == "CNOT":
+            control, target = gate.qubits
+            columns[control] ^= columns[target]
+        else:
+            a, b = gate.qubits
+            columns[a], columns[b] = columns[b], columns[a]
+
+    def span(cols, base):
+        table = np.array([base], dtype=np.intp)
+        for col in cols:
+            table = np.concatenate([table, table ^ col])
+        return table
+
+    low = n_qubits // 2
+    return (span(columns[low:], offset)[:, None] ^ span(columns[:low], 0)[None, :]).ravel()
+
+
+def _swap_subviews(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
+    """Apply one X, CNOT, SWAP or MCX by exchanging two sub-views in place."""
+    first = [slice(None)] * n_qubits
+    if gate.kind == "SWAP":
+        a, b = gate.qubits
+        settings = [(a, 0, 1), (b, 1, 0)]
+    else:
+        controls = () if gate.kind == "X" else gate.controls
+        settings = [(q, int(p == CLOSED), int(p == CLOSED)) for q, p in controls]
+        settings.append((gate.qubits[-1], 0, 1))
+    second = list(first)
+    for q, a, b in settings:
+        # the qubit-q axis of the reshaped view is axis n-1-q
+        first[n_qubits - 1 - q] = a
+        second[n_qubits - 1 - q] = b
+    view = amps.reshape((2,) * n_qubits)
+    # the trailing Ellipsis keeps a view even when every axis is fixed
+    lo, hi = view[(*first, ...)], view[(*second, ...)]
+    held = lo.copy()
+    lo[...] = hi
+    hi[...] = held
+
+
 def run_circuit(state: Statevector, circuit) -> Statevector:
-    """Left-fold apply_gate over a circuit's gate list."""
-    if circuit.n_qubits != state.n_qubits:
-        raise ValueError(
-            f"circuit on {circuit.n_qubits} qubits, state on {state.n_qubits}"
-        )
+    """Apply a circuit's gates in order, one pass per compiled layer."""
+    n = state.n_qubits
+    if circuit.n_qubits != n:
+        raise ValueError(f"circuit on {circuit.n_qubits} qubits, state on {n}")
     amps = state.amplitudes.copy()
-    for gate in circuit.gates:
-        _apply_inplace(amps, gate)
-    return Statevector(state.n_qubits, amps)
+    spare = None
+    for run in _runs(circuit.gates):
+        if run[0].kind == "H":
+            _fwht_inplace(amps, [g.qubits[0] for g in run])
+            amps *= 2.0 ** (-len(run) / 2)
+        elif len(run) == 1:
+            _swap_subviews(amps, run[0], n)
+        else:
+            if spare is None:
+                spare = np.empty_like(amps)
+            np.take(amps, _source_index(run, n), out=spare)
+            amps, spare = spare, amps
+    return Statevector(n, amps)
 
 
 def amplitude_encode(signal) -> tuple[Statevector, float]:
@@ -201,11 +307,22 @@ def amplitude_encode(signal) -> tuple[Statevector, float]:
     size = values.size
     if size < 1 or size & (size - 1):
         raise SizingError(f"length {size} is not a power of two")
-    scale = float(np.linalg.norm(values))
-    if scale == 0.0:
+    # the norm is taken in binary units of the peak, so huge or tiny samples
+    # neither overflow nor underflow it; a NaN or inf sample makes the peak
+    # non-finite
+    peak = float(np.max(np.abs(values)))
+    if not math.isfinite(peak):
+        raise NormalizationError("cannot amplitude-encode non-finite samples")
+    if peak == 0.0:
         raise NormalizationError("cannot amplitude-encode an all-zero signal")
-    n = size.bit_length() - 1
-    return Statevector(n, values / scale), scale
+    unit = binary_unit(peak)
+    scaled = values / unit
+    norm = float(np.linalg.norm(scaled))
+    scale = unit * norm
+    if not math.isfinite(scale):
+        raise NormalizationError("signal norm overflows float64")
+    scaled /= norm
+    return Statevector(size.bit_length() - 1, scaled), scale
 
 
 def project_ancilla(state: Statevector, qubit: int, outcome: int) -> tuple[np.ndarray, float]:
@@ -220,10 +337,6 @@ def project_ancilla(state: Statevector, qubit: int, outcome: int) -> tuple[np.nd
         raise ValueError(f"qubit {qubit} out of range for {state.n_qubits}")
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    half = 1 << (state.n_qubits - 1)
-    k = np.arange(half)
-    low = k & ((1 << qubit) - 1)
-    pos = ((k >> qubit) << (qubit + 1)) | (outcome << qubit) | low
-    branch = state.amplitudes[pos].copy()
-    probability = float(np.sum(np.abs(branch) ** 2))
+    branch = state.amplitudes.reshape(-1, 2, 1 << qubit)[:, outcome, :].flatten()
+    probability = float(np.vdot(branch, branch).real)
     return branch, probability

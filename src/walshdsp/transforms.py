@@ -18,6 +18,7 @@ least significant). A brute-force zero-crossing counter on the materialized
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,16 @@ def _bits_of(size: int) -> int:
     if size < 1 or size & (size - 1):
         raise SizingError(f"length {size} is not a power of two")
     return size.bit_length() - 1
+
+
+def binary_unit(peak: float) -> float:
+    """Largest power of two not above a finite peak > 0.
+
+    Dividing a vector by the binary unit of its largest magnitude is exact
+    and brings that magnitude into [1, 2), so a norm taken afterwards neither
+    overflows nor underflows.
+    """
+    return math.ldexp(0.5, math.frexp(peak)[1])
 
 
 def _check_index(s: int, n: int) -> None:
@@ -154,17 +165,22 @@ def natural_to_sequency_perm(n: int) -> tuple[np.ndarray, np.ndarray]:
     return forward, inverse
 
 
-def _fwht_inplace(a: np.ndarray) -> None:
-    # radix-2 in-place butterflies, stride doubling; unscaled
-    half = 1
-    size = a.size
-    while half < size:
-        view = a.reshape(-1, 2, half)
+def _fwht_inplace(a: np.ndarray, bits=None) -> None:
+    """Unscaled radix-2 butterflies in place, one stage per index bit.
+
+    The stage for bit q pairs the entries whose indices differ only in bit q
+    (stride 2**q). bits defaults to every bit of a.size in increasing order,
+    the full natural-order transform; the simulator passes the qubits of an
+    H layer. Works on real and complex arrays alike.
+    """
+    if bits is None:
+        bits = range(a.size.bit_length() - 1)
+    for q in bits:
+        view = a.reshape(-1, 2, 1 << q)
         top = view[:, 0, :].copy()
         bottom = view[:, 1, :]
-        view[:, 0, :] = top + bottom
-        view[:, 1, :] = top - bottom
-        half *= 2
+        np.add(top, bottom, out=view[:, 0, :])
+        np.subtract(top, bottom, out=bottom)
 
 
 def fwht_natural(v, inverse: bool = False) -> Coefficients:

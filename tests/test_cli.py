@@ -201,6 +201,29 @@ def test_non_power_of_two_exits_3(tmp_path, capsys):
     assert "power of two" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_filter_non_finite_sample_exits_3_without_outputs(tmp_path, capsys, bad):
+    src = tmp_path / "bad.csv"
+    lines = [f"{np.sin(k):.17g}" for k in range(64)]
+    lines[17] = bad
+    src.write_text("\n".join(lines) + "\n")
+    code = main(["filter", "--kind", "low", "--cutoff", "16", "--input", str(src),
+                 "--output-prefix", str(tmp_path / "out")])
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
+
+def test_filter_huge_samples_keep_their_scale(tmp_path):
+    src = tmp_path / "huge.csv"
+    _write_signal(src, np.full(16, 1e200))
+    assert main(["filter", "--kind", "dc", "--input", str(src), "--output-prefix", str(tmp_path / "o")]) == 0
+    meta = json.loads((tmp_path / "o.meta.json").read_text(), parse_constant=pytest.fail)
+    assert meta["scale"] == pytest.approx(4e200)
+    assert meta["errors"]["quantum_vs_oracle_stop"]["l2_rel"] < 1e-12
+    np.testing.assert_allclose(_read_values(tmp_path / "o.stop.csv"), np.full(16, 1e200), rtol=1e-12)
+
+
 def test_unresolvable_cutoff_exits_3(tmp_path, square_csv, capsys):
     src, _ = square_csv
     code = main(["filter", "--kind", "low", "--cutoff", "N/3", "--input", str(src),

@@ -195,6 +195,31 @@ def test_step6_x_fragment_swaps_branches():
     assert_allclose(flipped_pass.real * scale, plain.pass_branch.values, atol=1e-12)
 
 
+_N14 = 1 << 14
+_BAND_LO = int(np.random.default_rng(14).integers(1, _N14 // 2))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        flt.FilterSpec.low_pass(_N14 // 4),
+        flt.FilterSpec.high_pass(3 * _N14 // 8),
+        flt.FilterSpec.band_pass(_BAND_LO, _BAND_LO + 4321),
+        flt.FilterSpec.dc(),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_quantum_matches_oracle_at_n14_both_conventions(spec):
+    signal = np.random.default_rng(1414).standard_normal(_N14)
+    tol = 1e-10 * np.linalg.norm(signal)
+    oracle_pass, oracle_stop = flt.filter_classical_oracle(signal, spec)
+    for swapped in (False, True):
+        result = flt.filter_quantum(signal, spec, swapped=swapped)
+        assert result.pass_branch.values.dtype == np.float64
+        assert np.linalg.norm(result.pass_branch.values - oracle_pass.values) <= tol
+        assert np.linalg.norm(result.stop_branch.values - oracle_stop.values) <= tol
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 32))
 def test_complementarity_over_all_cutoffs(cutoff):
@@ -245,5 +270,8 @@ def test_compare_metrics():
     assert basis["linf"] == 1.0
     assert flt.compare([1.0, 0.0], [0.0, 0.0])["l2_rel"] == float("inf")
     assert flt.compare([0.0, 0.0], [0.0, 0.0])["l2_rel"] == 0.0
+    huge = flt.compare([3e200, 4e200], [0.0, 0.0])
+    assert huge["l2_abs"] == pytest.approx(5e200) and huge["linf"] == 4e200
+    assert flt.compare([1e308, 0.0], [0.0, 1e308])["l2_rel"] == pytest.approx(np.sqrt(2))
     with pytest.raises(ValueError):
         flt.compare([1.0], [1.0, 2.0])

@@ -2,7 +2,8 @@
 
 The dense matrix oracle below rebuilds each gate's action column by column
 from the textbook definition (bit predicates on basis indices), a completely
-different code path from the simulator's vectorized stride arithmetic.
+different code path from both of the simulator's kernels: the per-gate index
+arithmetic of apply_gate and the layer-compiled passes of run_circuit.
 """
 
 from __future__ import annotations
@@ -11,10 +12,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from walshdsp import simulator as sim
-from walshdsp.circuits import Circuit
+from walshdsp.circuits import Circuit, build_filter_circuit
+from walshdsp.filters import FilterSpec
 from walshdsp.transforms import SizingError, time_series
 
 RNG = np.random.default_rng(42)
@@ -50,6 +54,11 @@ def gate_matrix_oracle(gate: sim.Gate, n: int) -> np.ndarray:
 
 def random_state(n: int) -> sim.Statevector:
     amps = RNG.standard_normal(1 << n) + 1j * RNG.standard_normal(1 << n)
+    return sim.Statevector(n, amps / np.linalg.norm(amps))
+
+
+def random_real_state(n: int) -> sim.Statevector:
+    amps = RNG.standard_normal(1 << n)
     return sim.Statevector(n, amps / np.linalg.norm(amps))
 
 
@@ -181,6 +190,95 @@ def test_run_circuit_concatenation():
     assert_allclose(in_two_steps.amplitudes, in_one.amplitudes, atol=1e-13)
 
 
+@st.composite
+def gate_lists(draw):
+    """Random circuits over the full gate set, n <= 6.
+
+    Runs of one kind are drawn on purpose so that the compiled path sees H
+    runs that repeat a qubit, long mixed X/CNOT/SWAP runs and MCX sequences
+    with every polarity, empty control lists included.
+    """
+    n = draw(st.integers(1, 6))
+    qubit = st.integers(0, n - 1)
+    gates = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["H", "PERM", "MCX"]))
+        for _ in range(draw(st.integers(1, n + 2))):
+            if kind == "H":
+                gates.append(sim.h(draw(qubit)))
+            elif kind == "MCX":
+                target = draw(qubit)
+                others = [q for q in range(n) if q != target]
+                controls = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+                polarities = draw(st.lists(st.sampled_from([sim.OPEN, sim.CLOSED]),
+                                           min_size=len(controls), max_size=len(controls)))
+                gates.append(sim.mcx(list(zip(controls, polarities)), target))
+            else:
+                pick = draw(st.sampled_from(["X", "CNOT", "SWAP"] if n > 1 else ["X"]))
+                if pick == "X":
+                    gates.append(sim.x(draw(qubit)))
+                else:
+                    a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+                    gates.append(sim.cnot(a, b) if pick == "CNOT" else sim.swap(a, b))
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gate_lists(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_run_circuit_matches_gate_fold_and_matrix_product(circuit, complex_state, seed):
+    rng = np.random.default_rng(seed)
+    size = 1 << circuit.n_qubits
+    amps = rng.standard_normal(size)
+    if complex_state:
+        amps = amps + 1j * rng.standard_normal(size)
+    state = sim.Statevector(circuit.n_qubits, amps / np.linalg.norm(amps))
+
+    compiled = sim.run_circuit(state, circuit)
+    folded = state
+    unitary = np.eye(size)
+    for gate in circuit.gates:
+        folded = sim.apply_gate(folded, gate)
+        unitary = gate_matrix_oracle(gate, circuit.n_qubits) @ unitary
+    assert compiled.amplitudes.dtype == state.amplitudes.dtype
+    assert_allclose(compiled.amplitudes, folded.amplitudes, atol=1e-12)
+    assert_allclose(compiled.amplitudes, unitary @ state.amplitudes, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make_state,dtype", [(random_real_state, np.float64), (random_state, np.complex128)]
+)
+def test_run_circuit_keeps_the_state_dtype(make_state, dtype):
+    out = sim.run_circuit(make_state(4), Circuit(4, tuple(GATE_CATALOG_4Q)))
+    assert out.amplitudes.dtype == dtype
+
+
+def test_real_constructors_store_float64():
+    assert sim.basis_state(3, 5).amplitudes.dtype == np.float64
+    assert sim.amplitude_encode([3.0, 4.0])[0].amplitudes.dtype == np.float64
+    assert sim.Statevector(1, [1, 0]).amplitudes.dtype == np.float64
+    assert sim.Statevector(1, [1j, 0]).amplitudes.dtype == np.complex128
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_altering_one_filter_gate_changes_the_output(swapped):
+    # every gate of the emitted circuit must act: drop or change any one and
+    # the simulated state moves
+    n = 4
+    circuit = build_filter_circuit(n, FilterSpec.band_pass(3, 11), swapped=swapped)
+    state = random_real_state(n + 1)
+    reference = sim.run_circuit(state, circuit).amplitudes
+    for i, gate in enumerate(circuit.gates):
+        variants = [()]
+        if gate.kind == "MCX":
+            (q, polarity), *rest = gate.controls
+            flipped = sim.OPEN if polarity == sim.CLOSED else sim.CLOSED
+            variants.append((sim.mcx([(q, flipped), *rest], gate.target),))
+        for replacement in variants:
+            gates = circuit.gates[:i] + replacement + circuit.gates[i + 1:]
+            out = sim.run_circuit(state, Circuit(n + 1, gates)).amplitudes
+            assert np.max(np.abs(out - reference)) > 1e-3, (i, gate, replacement)
+
+
 def test_run_circuit_qubit_count_mismatch():
     with pytest.raises(ValueError):
         sim.run_circuit(random_state(3), Circuit(4, ()))
@@ -212,6 +310,27 @@ def test_amplitude_encode_norm_is_signal_norm():
     state, scale = sim.amplitude_encode(v)
     assert abs(scale - np.linalg.norm(v)) < 1e-12
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("value", [1e200, 1e-200, 5e-324])
+def test_amplitude_encode_huge_and_tiny_samples(value):
+    state, scale = sim.amplitude_encode(np.full(8, value))
+    assert np.isfinite(scale) and scale > 0
+    assert scale == pytest.approx(value * np.sqrt(8), rel=1e-15)
+    assert_allclose(state.amplitudes, np.full(8, 1 / np.sqrt(8)), rtol=1e-15)
+
+
+def test_amplitude_encode_rejects_a_norm_beyond_float64():
+    with pytest.raises(sim.NormalizationError, match="overflows"):
+        sim.amplitude_encode(np.full(8, 1e308))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_amplitude_encode_rejects_non_finite_samples(bad):
+    values = np.ones(8)
+    values[3] = bad
+    with pytest.raises(sim.NormalizationError, match="non-finite"):
+        sim.amplitude_encode(values)
 
 
 def test_amplitude_encode_rejects_zero_and_bad_size():
@@ -268,6 +387,12 @@ def test_project_ancilla_probabilities_sum():
 def test_statevector_norm_enforced():
     with pytest.raises(sim.NormalizationError):
         sim.Statevector(1, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_statevector_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(sim.NormalizationError):
+        sim.Statevector(1, np.array([bad, 0.0]))
 
 
 def test_gate_validation():
