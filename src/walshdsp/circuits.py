@@ -89,8 +89,6 @@ def build_uz_inverse(n: int) -> Circuit:
 
 def build_sequency_wht(n: int) -> Circuit:
     """H on every qubit, then the sequency reordering."""
-    if n < 1:
-        raise ValueError(f"need at least 1 qubit, got {n}")
     gates = tuple(h(q) for q in range(n)) + build_uz(n).gates
     return Circuit(n, gates, f"sequency-wht(n={n})")
 
@@ -159,18 +157,19 @@ def build_sequency_selector(n: int, band) -> Circuit:
     return Circuit(n + 1, tuple(gates), f"selector(n={n}, band={spans})")
 
 
-def build_filter_circuit(n: int, spec, *, swapped: bool = False, step6: Circuit | None = None) -> Circuit:
+def build_filter_circuit(n: int, spec, *, swapped: bool = False) -> Circuit:
     """Full filtering circuit on n data qubits plus the ancilla (qubit n).
 
     Stages: optional X on the ancilla, H on every data qubit, the sequency
-    reordering, the ancilla selector, an optional caller-supplied fragment
-    (inserted verbatim before the unwinding begins, empty by default), then
-    the reordering inverse and the closing H layer. Under the default
-    convention the ancilla reads 0 on the pass component and 1 on the stop
-    component; swapped=True toggles the leading X so the roles exchange.
+    reordering, the ancilla selector, then the reordering inverse and the
+    closing H layer. Under the default convention the ancilla reads 0 on the
+    pass component and 1 on the stop component; swapped=True toggles the
+    leading X so the roles exchange. The X, when present, is always gate 0
+    and the only X in the circuit.
 
     spec is a filter description exposing kind, validate_for, pass_intervals,
-    stop_intervals and describe (see walshdsp.filters.FilterSpec).
+    stop_intervals and describe (see walshdsp.filters.FilterSpec); this is
+    where it is checked against the size.
     """
     if n < 1:
         raise ValueError(f"need at least 1 data qubit, got {n}")
@@ -182,9 +181,9 @@ def build_filter_circuit(n: int, spec, *, swapped: bool = False, step6: Circuit 
         # index 0 is a fixed point of the reordering, so the permutation
         # stages cancel and the cheap no-X form needs just one selector gate
         fire_pass = False
-        include_uz = False
+        uz: tuple[Gate, ...] = ()
     else:
-        include_uz = True
+        uz = build_uz(n).gates
         pass_blocks = _count_blocks(pass_ivs, size, n)
         stop_blocks = _count_blocks(stop_ivs, size, n)
         if spec.kind == "band":
@@ -194,53 +193,17 @@ def build_filter_circuit(n: int, spec, *, swapped: bool = False, step6: Circuit 
     x_front = fire_pass != bool(swapped)
     fired = pass_ivs if fire_pass else stop_ivs
 
-    gates: list[Gate] = []
-    if x_front:
-        gates.append(x(n))
+    gates: list[Gate] = [x(n)] if x_front else []
     gates += [h(q) for q in range(n)]
-    if include_uz:
-        gates += build_uz(n).gates
+    gates += uz
     gates += build_sequency_selector(n, fired).gates
-    if step6 is not None:
-        if step6.n_qubits != n + 1:
-            raise ValueError(
-                f"insert fragment spans {step6.n_qubits} qubits, need {n + 1}"
-            )
-        gates += step6.gates
-    if include_uz:
-        gates += build_uz_inverse(n).gates
+    # every uz gate is its own inverse
+    gates += reversed(uz)
     gates += [h(q) for q in range(n)]
 
     tag = ", swapped" if swapped else ""
     label = f"filter({spec.describe()}, n={n}{tag})"
-    return elide_xx(Circuit(n + 1, tuple(gates), label))
-
-
-def elide_xx(circuit: Circuit) -> Circuit:
-    """Cancel X pairs that are adjacent on their qubit's wire.
-
-    Two X gates on the same qubit cancel when no gate in between touches that
-    qubit. Applied to a fixed point. Conservative on purpose: any intervening
-    gate on the wire blocks the elision, even ones that would commute.
-    """
-    gates = list(circuit.gates)
-    changed = True
-    while changed:
-        changed = False
-        for i, gate in enumerate(gates):
-            if gate.kind != "X":
-                continue
-            q = gate.qubits[0]
-            for j in range(i + 1, len(gates)):
-                if q not in gates[j].qubits:
-                    continue
-                if gates[j].kind == "X":
-                    del gates[j], gates[i]
-                    changed = True
-                break
-            if changed:
-                break
-    return Circuit(circuit.n_qubits, tuple(gates), circuit.label)
+    return Circuit(n + 1, tuple(gates), label)
 
 
 def gate_stats(circuit: Circuit) -> GateStats:

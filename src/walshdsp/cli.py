@@ -2,8 +2,8 @@
 
 Subcommands: transform, filter, spectrum, sequency-map, verify, gates.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 runtime
-error (missing files, malformed CSV, non power-of-two lengths, cutoffs
-that do not resolve to an integer).
+error (missing files, malformed CSV, nan or inf samples, non power-of-two
+lengths, cutoffs that do not resolve to an integer).
 
 Cutoffs and band edges accept plain integers or expressions in the loaded
 length: ``N``, ``N/4``, ``3N/4``. Expressions must resolve exactly; ``N/3``
@@ -114,19 +114,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_signal(path: str) -> transforms.Coefficients:
-    return signals.load_csv(path)
-
-
 def _parseval_line(before: np.ndarray, after: np.ndarray) -> str:
-    a, b = float(np.linalg.norm(before)), float(np.linalg.norm(after))
+    # norms in binary units of the larger peak, so that huge samples do not
+    # overflow them
+    peak = max(np.max(np.abs(before), initial=0.0), np.max(np.abs(after), initial=0.0))
+    unit = transforms.binary_unit(peak)
+    a = unit * float(np.linalg.norm(before / unit))
+    b = unit * float(np.linalg.norm(after / unit))
     return f"parseval: |input|={a:.12g} |output|={b:.12g} drift={abs(a - b):.3e}"
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    v = _load_signal(args.input)
+    v = signals.load_csv(args.input)
     if args.order == transforms.NATURAL:
-        out = transforms.fwht_natural(v, inverse=args.inverse)
+        out = transforms.fwht_natural(v)
     else:
         out = transforms.wht_sequency(v, inverse=args.inverse)
     signals.save_csv(args.output, out.values)
@@ -153,15 +154,12 @@ def _filter_spec(args: argparse.Namespace, size: int, parser: argparse.ArgumentP
 
 
 def _cmd_filter(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    signal = _load_signal(args.input)
-    size = signal.values.size
-    spec = _filter_spec(args, size, parser)
-    spec.validate_for(size)
+    signal = signals.load_csv(args.input)
+    spec = _filter_spec(args, len(signal), parser)
 
     result = filters.filter_quantum(signal, spec, swapped=args.swapped)
     oracle_pass, oracle_stop = filters.filter_classical_oracle(signal, spec)
-    n = size.bit_length() - 1
-    circuit = circuits.build_filter_circuit(n, spec, swapped=args.swapped)
+    circuit = result.circuit
     stats = circuits.gate_stats(circuit)
 
     leading_x = bool(circuit.gates) and circuit.gates[0].kind == "X"
@@ -171,8 +169,8 @@ def _cmd_filter(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         "kind": spec.kind,
         "cutoff": spec.cutoff,
         "band": list(spec.band) if spec.band is not None else None,
-        "n_samples": size,
-        "n_qubits": n + 1,
+        "n_samples": len(signal),
+        "n_qubits": circuit.n_qubits,
         "scale": result.scale,
         "p_pass": result.p_pass,
         "p_stop": result.p_stop,
@@ -208,7 +206,7 @@ def _suffixed(path: str, tag: str) -> str:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    v = _load_signal(args.input)
+    v = signals.load_csv(args.input)
     written = []
     if args.which in ("sequency", "both"):
         seq = transforms.wht_sequency(v)
@@ -251,10 +249,7 @@ def _gates_build(args: argparse.Namespace, n: int, parser: argparse.ArgumentPars
         return circuits.build_uz(n)
     if args.kind == "uz-inverse":
         return circuits.build_uz_inverse(n)
-    size = 1 << n
-    spec = _filter_spec(args, size, parser)
-    spec.validate_for(size)
-    return circuits.build_filter_circuit(n, spec)
+    return circuits.build_filter_circuit(n, _filter_spec(args, 1 << n, parser))
 
 
 def _cmd_gates(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

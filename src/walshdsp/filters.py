@@ -25,9 +25,9 @@ from walshdsp.transforms import (
     Coefficients,
     SEQUENCY,
     TIME,
-    _as_coefficients,
-    _bits_of,
     binary_unit,
+    time_series,
+    time_signal,
     wht_sequency,
 )
 
@@ -125,7 +125,8 @@ class FilterResult:
     """Both output branches in physical units plus the split bookkeeping.
 
     p_pass and p_stop are the ancilla outcome probabilities (they sum to 1);
-    scale is the amplitude-encoding norm used to restore units.
+    scale is the amplitude-encoding norm used to restore units; circuit is
+    the filter circuit that was simulated.
     """
 
     pass_branch: Coefficients
@@ -133,6 +134,7 @@ class FilterResult:
     p_pass: float
     p_stop: float
     scale: float
+    circuit: circuits.Circuit
 
 
 def _pass_mask(spec: FilterSpec, size: int) -> np.ndarray:
@@ -144,40 +146,31 @@ def _pass_mask(spec: FilterSpec, size: int) -> np.ndarray:
 
 def filter_quantum(signal, spec: FilterSpec, *, swapped: bool = False) -> FilterResult:
     """Run the filter circuit on the encoded signal and split on the ancilla."""
-    signal = _as_coefficients(signal)
-    if signal.order_tag != TIME:
-        raise ValueError(f"need a time-ordered signal, got {signal.order_tag!r}")
-    n = _bits_of(len(signal))
-    spec.validate_for(len(signal))
+    signal, n = time_signal(signal)
+    circuit = circuits.build_filter_circuit(n, spec, swapped=swapped)
     encoded, scale = simulator.amplitude_encode(signal)
     # ancilla |0> on top: amplitudes occupy the lower half of the larger index space
     amps = np.zeros(2 << n)
     amps[: 1 << n] = encoded.amplitudes
     state = simulator.Statevector(n + 1, amps)
-    circuit = circuits.build_filter_circuit(n, spec, swapped=swapped)
     final = simulator.run_circuit(state, circuit)
     pass_outcome = 1 if swapped else 0
     pass_amps, p_pass = simulator.project_ancilla(final, n, pass_outcome)
     stop_amps, p_stop = simulator.project_ancilla(final, n, 1 - pass_outcome)
-    # the state is float64 throughout: every gate is real
-    pass_vals = pass_amps * scale
-    stop_vals = stop_amps * scale
     return FilterResult(
-        Coefficients(pass_vals, TIME),
-        Coefficients(stop_vals, TIME),
+        Coefficients(pass_amps * scale, TIME),
+        Coefficients(stop_amps * scale, TIME),
         p_pass,
         p_stop,
         scale,
+        circuit,
     )
 
 
 def filter_classical_oracle(signal, spec: FilterSpec) -> tuple[Coefficients, Coefficients]:
     """Dense-transform reference: mask in the sequency domain, transform back."""
-    signal = _as_coefficients(signal)
-    if signal.order_tag != TIME:
-        raise ValueError(f"need a time-ordered signal, got {signal.order_tag!r}")
-    size = len(signal)
-    _bits_of(size)
+    signal, n = time_signal(signal)
+    size = 1 << n
     spec.validate_for(size)
     spectrum = wht_sequency(signal)
     mask = _pass_mask(spec, size)
@@ -190,7 +183,8 @@ def filter_classical_oracle(signal, spec: FilterSpec) -> tuple[Coefficients, Coe
 
 def dc_remove_oracle(signal) -> Coefficients:
     """Mean subtraction; the classical answer DC filtering must reproduce."""
-    signal = _as_coefficients(signal)
+    if not isinstance(signal, Coefficients):
+        signal = time_series(signal)
     if signal.order_tag != TIME:
         raise ValueError(f"need a time-ordered signal, got {signal.order_tag!r}")
     return Coefficients(signal.values - signal.values.mean(), TIME)
@@ -208,8 +202,7 @@ def compare(a, b) -> dict[str, float]:
         raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
     # measured in binary units of the larger peak, so that the norms of huge
     # or tiny signals neither overflow nor underflow
-    peak = max(np.max(np.abs(av), initial=0.0), np.max(np.abs(bv), initial=0.0))
-    unit = binary_unit(peak) if 0.0 < peak < np.inf else 1.0
+    unit = binary_unit(max(np.max(np.abs(av), initial=0.0), np.max(np.abs(bv), initial=0.0)))
     diff = av / unit - bv / unit
     l2_diff = float(np.linalg.norm(diff))
     ref = float(np.linalg.norm(bv / unit))

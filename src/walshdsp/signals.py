@@ -17,11 +17,13 @@ Shapes:
 CSV format: one float per line, '.' decimal separator, newline terminators,
 written with 17 significant digits so values round-trip bit for bit. An
 optional leading index column and a non-numeric header row are tolerated on
-input. Length checks are deferred to transform time.
+input; a nan or inf sample is rejected. Length checks are deferred to
+transform time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,8 +120,9 @@ def load_csv(path) -> Coefficients:
     """Read a one-column (optionally indexed) CSV as a time-ordered vector.
 
     The first row is skipped if it does not parse as numbers; any later parse
-    failure is an error. Rows with several comma-separated fields contribute
-    their last field, so 'index,value' files load unchanged.
+    failure is an error, and so is a nan or inf sample. Rows with several
+    comma-separated fields contribute their last field, so 'index,value' files
+    load unchanged.
     """
     values = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -129,9 +132,12 @@ def load_csv(path) -> Coefficients:
                 continue
             field = line.split(",")[-1].strip()
             try:
-                values.append(float(field))
+                value = float(field)
             except ValueError:
                 if lineno == 0:
                     continue  # header row
                 raise ValueError(f"line {lineno + 1}: could not parse {field!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"line {lineno + 1}: non-finite sample {field!r}")
+            values.append(value)
     return Coefficients(np.asarray(values, dtype=np.float64), TIME)

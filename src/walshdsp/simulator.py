@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from walshdsp.transforms import TIME, Coefficients, SizingError, _fwht_inplace, binary_unit
+from walshdsp.transforms import _fwht_inplace, binary_unit, time_signal
 
 OPEN = "open"
 CLOSED = "closed"
@@ -298,31 +298,23 @@ def amplitude_encode(signal) -> tuple[Statevector, float]:
     after measurement-style projections. Ancilla prepending is the caller's
     job: a 2**n-sample signal encodes into exactly n qubits.
     """
-    if isinstance(signal, Coefficients):
-        if signal.order_tag != TIME:
-            raise ValueError(f"need a time-ordered signal, got {signal.order_tag!r}")
-        values = signal.values
-    else:
-        values = np.asarray(signal, dtype=np.float64)
-    size = values.size
-    if size < 1 or size & (size - 1):
-        raise SizingError(f"length {size} is not a power of two")
+    signal, n = time_signal(signal)
     # the norm is taken in binary units of the peak, so huge or tiny samples
     # neither overflow nor underflow it; a NaN or inf sample makes the peak
     # non-finite
-    peak = float(np.max(np.abs(values)))
+    peak = float(np.max(np.abs(signal.values)))
     if not math.isfinite(peak):
         raise NormalizationError("cannot amplitude-encode non-finite samples")
     if peak == 0.0:
         raise NormalizationError("cannot amplitude-encode an all-zero signal")
     unit = binary_unit(peak)
-    scaled = values / unit
+    scaled = signal.values / unit
     norm = float(np.linalg.norm(scaled))
     scale = unit * norm
     if not math.isfinite(scale):
         raise NormalizationError("signal norm overflows float64")
     scaled /= norm
-    return Statevector(size.bit_length() - 1, scaled), scale
+    return Statevector(n, scaled), scale
 
 
 def project_ancilla(state: Statevector, qubit: int, outcome: int) -> tuple[np.ndarray, float]:

@@ -67,27 +67,33 @@ def time_series(values) -> Coefficients:
     return Coefficients(np.asarray(values, dtype=np.float64), TIME)
 
 
-def _as_coefficients(v, default_tag: str = TIME) -> Coefficients:
-    if isinstance(v, Coefficients):
-        return v
-    return Coefficients(np.asarray(v, dtype=np.float64), default_tag)
+def _as_coefficients(v) -> Coefficients:
+    return v if isinstance(v, Coefficients) else time_series(v)
 
 
-def _bits_of(size: int) -> int:
+def bit_width(size: int) -> int:
     """Bit width n for a power-of-two size; SizingError otherwise."""
     if size < 1 or size & (size - 1):
         raise SizingError(f"length {size} is not a power of two")
     return size.bit_length() - 1
 
 
+def time_signal(v) -> tuple[Coefficients, int]:
+    """Coerce v to a time-ordered vector of 2**n samples; returns (vector, n)."""
+    v = _as_coefficients(v)
+    if v.order_tag != TIME:
+        raise ValueError(f"need a time-ordered signal, got {v.order_tag!r}")
+    return v, bit_width(len(v))
+
+
 def binary_unit(peak: float) -> float:
-    """Largest power of two not above a finite peak > 0.
+    """Largest power of two not above peak; 1.0 for a peak of 0, inf or nan.
 
     Dividing a vector by the binary unit of its largest magnitude is exact
     and brings that magnitude into [1, 2), so a norm taken afterwards neither
     overflows nor underflows.
     """
-    return math.ldexp(0.5, math.frexp(peak)[1])
+    return math.ldexp(0.5, math.frexp(peak)[1]) if 0.0 < peak < math.inf else 1.0
 
 
 def _check_index(s: int, n: int) -> None:
@@ -183,23 +189,27 @@ def _fwht_inplace(a: np.ndarray, bits=None) -> None:
         np.subtract(top, bottom, out=bottom)
 
 
-def fwht_natural(v, inverse: bool = False) -> Coefficients:
+def _scaled_fwht(values: np.ndarray) -> np.ndarray:
+    """Natural-order transform of a copy of values, with unitary scaling."""
+    out = values.copy()
+    _fwht_inplace(out)
+    out *= 1.0 / np.sqrt(out.size)
+    return out
+
+
+def fwht_natural(v) -> Coefficients:
     """Fast Walsh-Hadamard transform in natural (Hadamard) ordering.
 
-    O(N log N) in-place butterfly with unitary scaling. The matrix is
-    self-inverse, so the inverse flag performs the identical computation; it
-    exists so call sites can state their intent. The order tag flips between
-    "time" and "natural".
+    O(N log N) butterflies with unitary scaling. The matrix is self-inverse,
+    so the same call transforms back. The order tag flips between "time" and
+    "natural".
     """
     v = _as_coefficients(v)
     if v.order_tag == SEQUENCY:
         raise ValueError("sequency-tagged input; use wht_sequency to go back")
-    _bits_of(len(v))
-    out = v.values.copy()
-    _fwht_inplace(out)
-    out *= 1.0 / np.sqrt(out.size)
+    bit_width(len(v))
     tag = NATURAL if v.order_tag == TIME else TIME
-    return Coefficients(out, tag)
+    return Coefficients(_scaled_fwht(v.values), tag)
 
 
 def wht_sequency(v, inverse: bool = False) -> Coefficients:
@@ -215,18 +225,12 @@ def wht_sequency(v, inverse: bool = False) -> Coefficients:
     v = _as_coefficients(v)
     if v.order_tag == NATURAL:
         raise ValueError("natural-tagged input; use fwht_natural to go back")
-    n = _bits_of(len(v))
+    n = bit_width(len(v))
     forward, inv = natural_to_sequency_perm(n)
     if inverse:
-        work = v.values[forward].copy()
-        _fwht_inplace(work)
-        work *= 1.0 / np.sqrt(work.size)
-        out = work
+        out = _scaled_fwht(v.values[forward])
     else:
-        work = v.values.copy()
-        _fwht_inplace(work)
-        work *= 1.0 / np.sqrt(work.size)
-        out = work[inv]
+        out = _scaled_fwht(v.values)[inv]
     tag = SEQUENCY if v.order_tag == TIME else TIME
     return Coefficients(out, tag)
 
@@ -261,8 +265,5 @@ def dft_spectrum(v) -> np.ndarray:
     package; it exists to emit frequency-spectrum plot data next to sequency
     spectra.
     """
-    v = _as_coefficients(v)
-    if v.order_tag != TIME:
-        raise ValueError(f"need a time-ordered vector, got {v.order_tag!r}")
-    _bits_of(len(v))
+    v, _ = time_signal(v)
     return np.fft.fft(v.values, norm="ortho")

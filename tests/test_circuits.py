@@ -1,5 +1,5 @@
 """Circuit builder tests: permutation realization, selector truth tables,
-pinned filter-circuit shapes, gate statistics, elision, serialization."""
+pinned filter-circuit shapes, gate statistics, serialization."""
 
 from __future__ import annotations
 
@@ -256,14 +256,25 @@ def test_filter_swapped_toggles_leading_x():
     assert kinds(dc)[0] == "X"
 
 
-def test_filter_step6_fragment_inserted_before_unwind():
-    fragment = qc.Circuit(4, (sim.x(3),))
-    circuit = qc.build_filter_circuit(3, FilterSpec.low_pass(4), step6=fragment)
-    ks = kinds(circuit)
-    mcx_at = ks.index("MCX")
-    assert ks[mcx_at + 1] == "X"
-    with pytest.raises(ValueError):
-        qc.build_filter_circuit(3, FilterSpec.low_pass(4), step6=qc.Circuit(3, ()))
+def _every_spec(size):
+    yield FilterSpec.dc()
+    for c in range(1, size + 1):
+        yield FilterSpec.low_pass(c)
+        yield FilterSpec.high_pass(c)
+    for lo in range(size):
+        for hi in range(lo + 1, size + 1):
+            yield FilterSpec.band_pass(lo, hi)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_filter_x_only_as_leading_ancilla_flip(n):
+    # a single leading X leaves no X pair that could cancel
+    for spec in _every_spec(1 << n):
+        for swapped in (False, True):
+            gates = qc.build_filter_circuit(n, spec, swapped=swapped).gates
+            xs = [i for i, g in enumerate(gates) if g.kind == "X"]
+            assert xs in ([], [0]), (spec, swapped)
+            assert not xs or gates[0].qubits == (n,)
 
 
 @pytest.mark.parametrize("n,r", [(3, 1), (5, 2), (7, 3), (9, 1), (12, 4)])
@@ -326,30 +337,6 @@ def test_gate_stats_mcx_arities_sorted_multiset():
         ),
     )
     assert qc.gate_stats(circuit).mcx_arities == (1, 2, 2)
-
-
-def test_elide_xx_cancels_adjacent_pair():
-    out = qc.elide_xx(qc.Circuit(2, (sim.x(0), sim.x(0))))
-    assert out.gates == ()
-
-
-def test_elide_xx_skips_gates_on_other_wires():
-    out = qc.elide_xx(qc.Circuit(2, (sim.x(0), sim.h(1), sim.x(0))))
-    assert kinds(out) == ["H"]
-
-
-def test_elide_xx_blocked_by_intervening_touch():
-    untouched = (sim.x(0), sim.h(0), sim.x(0))
-    assert qc.elide_xx(qc.Circuit(1, untouched)).gates == untouched
-    crossing = (sim.x(0), sim.cnot(1, 0), sim.x(0))
-    assert qc.elide_xx(qc.Circuit(2, crossing)).gates == crossing
-
-
-def test_elide_xx_cascades():
-    out = qc.elide_xx(qc.Circuit(1, (sim.x(0),) * 4))
-    assert out.gates == ()
-    odd = qc.elide_xx(qc.Circuit(1, (sim.x(0),) * 3))
-    assert kinds(odd) == ["X"]
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,21 @@ def test_filter_outputs_and_meta(tmp_path, square_csv):
     assert conv["leading_x"] == (conv["selector_fires_on"] == "pass")
 
 
+def test_filter_builds_its_circuit_once(tmp_path, square_csv, monkeypatch):
+    src, _ = square_csv
+    calls = []
+    build = circuits.build_filter_circuit
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(circuits, "build_filter_circuit", counting)
+    assert main(["filter", "--kind", "low", "--cutoff", "N/4", "--input", str(src),
+                 "--output-prefix", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
 def test_filter_swapped_flag_recorded(tmp_path, square_csv):
     src, values = square_csv
     prefix = tmp_path / "sw"
@@ -201,14 +216,23 @@ def test_non_power_of_two_exits_3(tmp_path, capsys):
     assert "power of two" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-def test_filter_non_finite_sample_exits_3_without_outputs(tmp_path, capsys, bad):
+_WRITERS = {
+    "filter": ["filter", "--kind", "low", "--cutoff", "16", "--output-prefix"],
+    "transform": ["transform", "--output"],
+    "spectrum": ["spectrum", "--which", "both", "--output"],
+}
+_NON_FINITE = [(c, b) for c in _WRITERS for b in ("nan", "inf", "-inf")]
+
+
+# filter cases carry bare ids such as [nan], so that their ids stay stable
+@pytest.mark.parametrize("command,bad", _NON_FINITE,
+                         ids=[b if c == "filter" else f"{c}-{b}" for c, b in _NON_FINITE])
+def test_filter_non_finite_sample_exits_3_without_outputs(tmp_path, capsys, command, bad):
     src = tmp_path / "bad.csv"
     lines = [f"{np.sin(k):.17g}" for k in range(64)]
     lines[17] = bad
     src.write_text("\n".join(lines) + "\n")
-    code = main(["filter", "--kind", "low", "--cutoff", "16", "--input", str(src),
-                 "--output-prefix", str(tmp_path / "out")])
+    code = main([*_WRITERS[command], str(tmp_path / "out"), "--input", str(src)])
     assert code == 3
     assert "non-finite" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
@@ -222,6 +246,17 @@ def test_filter_huge_samples_keep_their_scale(tmp_path):
     assert meta["scale"] == pytest.approx(4e200)
     assert meta["errors"]["quantum_vs_oracle_stop"]["l2_rel"] < 1e-12
     np.testing.assert_allclose(_read_values(tmp_path / "o.stop.csv"), np.full(16, 1e200), rtol=1e-12)
+
+
+def test_transform_huge_samples_print_finite_norms(tmp_path, capsys):
+    src = tmp_path / "huge.csv"
+    _write_signal(src, np.full(16, 1e200))
+    assert main(["transform", "--input", str(src), "--output", str(tmp_path / "o.csv")]) == 0
+    line = capsys.readouterr().out
+    norms = dict(field.split("=") for field in line.split()[1:])
+    assert float(norms["|input|"]) == pytest.approx(4e200)
+    assert float(norms["|output|"]) == pytest.approx(4e200)
+    assert float(norms["drift"]) <= 1e-12 * 4e200
 
 
 def test_unresolvable_cutoff_exits_3(tmp_path, square_csv, capsys):

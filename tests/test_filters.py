@@ -180,19 +180,15 @@ def test_swapped_convention_same_result():
     assert abs(plain.p_pass - swapped.p_pass) < 1e-12
 
 
-def test_step6_x_fragment_swaps_branches():
-    signal = sg.tone_composite(4)
-    spec = flt.FilterSpec.low_pass(4)
-    plain = flt.filter_quantum(signal, spec)
-    # rebuild manually with the insertion point populated by X on the ancilla
-    fragment = qc.Circuit(5, (sim.x(4),))
-    circuit = qc.build_filter_circuit(4, spec, step6=fragment)
-    encoded, scale = sim.amplitude_encode(signal)
-    amps = np.zeros(32, dtype=complex)
-    amps[:16] = encoded.amplitudes
-    final = sim.run_circuit(sim.Statevector(5, amps), circuit)
-    flipped_pass, _ = sim.project_ancilla(final, 4, 1)
-    assert_allclose(flipped_pass.real * scale, plain.pass_branch.values, atol=1e-12)
+@pytest.mark.parametrize(
+    "spec",
+    [flt.FilterSpec.low_pass(5), flt.FilterSpec.high_pass(9), flt.FilterSpec.band_pass(3, 13), flt.FilterSpec.dc()],
+    ids=lambda spec: spec.kind,
+)
+@pytest.mark.parametrize("swapped", [False, True])
+def test_filter_result_carries_the_simulated_circuit(spec, swapped):
+    result = flt.filter_quantum(sg.tone_composite(4), spec, swapped=swapped)
+    assert result.circuit.gates == qc.build_filter_circuit(4, spec, swapped=swapped).gates
 
 
 _N14 = 1 << 14
