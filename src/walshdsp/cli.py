@@ -3,7 +3,8 @@
 Subcommands: transform, filter, spectrum, sequency-map, verify, gates.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 runtime
 error (missing files, malformed CSV, nan or inf samples, non power-of-two
-lengths, cutoffs that do not resolve to an integer).
+lengths, cutoffs that do not resolve to an integer, a transform result
+beyond float64).
 
 Cutoffs and band edges accept plain integers or expressions in the loaded
 length: ``N``, ``N/4``, ``3N/4``. Expressions must resolve exactly; ``N/3``
@@ -225,8 +226,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 def _cmd_sequency_map(args: argparse.Namespace) -> int:
     if not 1 <= args.n <= 20:
         raise ValueError(f"n must be in 1..20, got {args.n}")
-    for s in range(1 << args.n):
-        print(f"{s},{transforms.sequency_of(s, args.n)}")
+    forward, _ = transforms.natural_to_sequency_perm(args.n)
+    sys.stdout.write("".join(f"{s},{g}\n" for s, g in enumerate(forward.tolist())))
     return 0
 
 

@@ -18,9 +18,8 @@ instead of one per gate:
 
 * a run of H gates on distinct qubits is one butterfly stage per qubit (the
   kernel of the classical fast transform), scaled once by 2**(-k/2);
-* a run of two or more X/CNOT/SWAP gates is a single GF(2)-affine map of the
-  basis indices, composed from the gates' action on index 0 and the unit
-  indices, and applied as one gather;
+* a run of two or more X/CNOT/SWAP gates is one GF(2)-affine map of the basis
+  indices, applied as one gather through a transforms.gf2_index array;
 * an MCX, or a lone X/CNOT/SWAP, exchanges two strided sub-views of the
   amplitudes reshaped to one axis per qubit, so no index array is built.
 
@@ -36,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from walshdsp.transforms import _fwht_inplace, binary_unit, time_signal
+from walshdsp.transforms import _fwht_inplace, binary_unit, gf2_index, time_signal
 
 OPEN = "open"
 CLOSED = "closed"
@@ -222,8 +221,7 @@ def _source_index(run: list[Gate], n_qubits: int) -> np.ndarray:
     j -> g1(g2(...gk(j))) is affine over GF(2): source(j) = A j ^ c. It is
     held as its action on index 0 (c) and on the unit indices (the columns
     of A), which composing one more gate on the right updates in O(1), and
-    materialised as the XOR of a table over the high index bits (offset by
-    c) and one over the low bits.
+    materialised by transforms.gf2_index, like the classical sequency map.
     """
     offset = 0
     columns = [1 << b for b in range(n_qubits)]
@@ -236,15 +234,7 @@ def _source_index(run: list[Gate], n_qubits: int) -> np.ndarray:
         else:
             a, b = gate.qubits
             columns[a], columns[b] = columns[b], columns[a]
-
-    def span(cols, base):
-        table = np.array([base], dtype=np.intp)
-        for col in cols:
-            table = np.concatenate([table, table ^ col])
-        return table
-
-    low = n_qubits // 2
-    return (span(columns[low:], offset)[:, None] ^ span(columns[:low], 0)[None, :]).ravel()
+    return gf2_index(columns, offset)
 
 
 def _swap_subviews(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:

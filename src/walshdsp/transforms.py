@@ -11,9 +11,13 @@ Conventions used throughout the package:
   the Walsh-domain analogue of frequency. Row s of the natural matrix lands at
   sequency position g = sequency_of(s, n).
 
-The sequency map is computed by prefix XORs over the index bits (bit 0 is the
-least significant). A brute-force zero-crossing counter on the materialized
-±1 row is kept alongside as an independent oracle, guarded by a cost bound.
+The sequency map (prefix XORs of the index bits, in reversed bit order) is
+GF(2)-linear; gf2_index builds it and the simulator's permutation layers.
+The oracle, a brute-force zero-crossing count, is guarded by a cost bound.
+
+The transforms run their sums in binary units of the peak sample, so finite
+samples near the float64 limit give finite coefficients; a coefficient that
+float64 cannot hold, or a nan or inf sample, raises ValueError.
 """
 
 from __future__ import annotations
@@ -154,20 +158,29 @@ def zero_crossings_bruteforce(s: int, n: int, bound: int = BRUTE_FORCE_BOUND) ->
     return int(np.abs(np.diff(signs)).sum()) // 2
 
 
+def gf2_index(columns, offset: int = 0) -> np.ndarray:
+    """Entry j is offset XOR the columns picked by the bits of j, j < 2**len(columns)."""
+    def span(cols, base):
+        table = np.array([base], dtype=np.intp)
+        for col in cols:
+            table = np.concatenate([table, table ^ col])
+        return table
+
+    low = len(columns) // 2
+    return (span(columns[low:], offset)[:, None] ^ span(columns[:low], 0)[None, :]).ravel()
+
+
 def natural_to_sequency_perm(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Forward and inverse permutation between natural and sequency positions.
 
-    forward[s] = sequency_of(s, n); inverse[g] recovers s by the pairwise-XOR
-    of adjacent result bits read from the top (the Gray-code identity).
+    forward[s] = sequency_of(s, n), a GF(2)-linear map built from the images
+    of the unit indices; inverse is forward scattered back.
     """
     if n < 1:
         raise ValueError(f"bit width must be at least 1, got {n}")
-    size = 1 << n
-    forward = np.empty(size, dtype=np.int64)
-    for s in range(size):
-        forward[s] = sequency_of(s, n)
-    inverse = np.empty(size, dtype=np.int64)
-    inverse[forward] = np.arange(size)
+    forward = gf2_index([sequency_of(1 << j, n) for j in range(n)])
+    inverse = np.empty_like(forward)
+    inverse[forward] = np.arange(forward.size)
     return forward, inverse
 
 
@@ -189,12 +202,34 @@ def _fwht_inplace(a: np.ndarray, bits=None) -> None:
         np.subtract(top, bottom, out=bottom)
 
 
+def _in_peak_units(values: np.ndarray, linear) -> np.ndarray:
+    """linear(values) for a linear map, computed in binary units of the peak.
+
+    Dividing by the binary unit and multiplying back are exact, so ordinary
+    samples give the bits of linear(values) while samples near the float64
+    limit cannot overflow the sums in between. ValueError on a nan or inf
+    sample and on a result beyond float64.
+    """
+    peak = max(float(values.max()), -float(values.min()))
+    if not math.isfinite(peak):
+        raise ValueError("cannot transform non-finite samples")
+    unit = binary_unit(peak)
+    out = linear(values / unit)
+    if not math.isfinite(float(np.max(np.abs(out))) * unit):
+        raise ValueError("transform result is beyond float64")
+    out *= unit
+    return out
+
+
 def _scaled_fwht(values: np.ndarray) -> np.ndarray:
     """Natural-order transform of a copy of values, with unitary scaling."""
-    out = values.copy()
-    _fwht_inplace(out)
-    out *= 1.0 / np.sqrt(out.size)
-    return out
+
+    def fwht(out):
+        _fwht_inplace(out)
+        out *= 1.0 / np.sqrt(out.size)
+        return out
+
+    return _in_peak_units(values, fwht)
 
 
 def fwht_natural(v) -> Coefficients:
@@ -266,4 +301,4 @@ def dft_spectrum(v) -> np.ndarray:
     spectra.
     """
     v, _ = time_signal(v)
-    return np.fft.fft(v.values, norm="ortho")
+    return _in_peak_units(v.values, lambda a: np.fft.fft(a, norm="ortho"))

@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from walshdsp import circuits as qc
@@ -180,6 +182,30 @@ def test_selector_rejects_bad_intervals():
 def test_selector_arbitrary_bands_flip_exactly_in_band(band):
     want = {k for lo, hi in band for k in range(lo, hi)}
     assert selector_flip_set(3, band) == want
+
+
+@st.composite
+def interval_unions(draw):
+    """(n, band, mask): cut [0, 2**n) at random points and keep some pieces.
+
+    Kept neighbours touch, so build_sequency_selector's merging is exercised too.
+    """
+    n = draw(st.integers(1, 6))
+    size = 1 << n
+    cuts = sorted({0, size, *draw(st.lists(st.integers(1, size - 1), max_size=8))})
+    keep = draw(st.lists(st.booleans(), min_size=len(cuts) - 1, max_size=len(cuts) - 1))
+    band = [(lo, hi) for lo, hi, k in zip(cuts, cuts[1:], keep) if k]
+    mask = np.zeros(size, dtype=bool)
+    for lo, hi in band:
+        mask[lo:hi] = True
+    return n, band, mask
+
+
+@settings(max_examples=40, deadline=None)
+@given(interval_unions())
+def test_selector_random_interval_unions_flip_exactly_the_mask(case):
+    n, band, mask = case
+    assert selector_flip_set(n, band) == set(np.flatnonzero(mask).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,11 @@ def test_sequency_map_n3(capsys):
     assert main(["sequency-map", "--n", "3"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert [int(line.split(",")[1]) for line in lines] == [0, 7, 3, 4, 1, 6, 2, 5]
+    for n in range(1, 11):
+        assert main(["sequency-map", "--n", str(n)]) == 0
+        lines = capsys.readouterr().out.split("\n")
+        assert lines.pop() == ""
+        assert lines == [f"{s},{transforms.sequency_of(s, n)}" for s in range(1 << n)]
 
 
 def test_verify_exit_zero(capsys):
@@ -219,9 +224,12 @@ def test_non_power_of_two_exits_3(tmp_path, capsys):
 _WRITERS = {
     "filter": ["filter", "--kind", "low", "--cutoff", "16", "--output-prefix"],
     "transform": ["transform", "--output"],
+    "transform-natural": ["transform", "--order", "natural", "--output"],
     "spectrum": ["spectrum", "--which", "both", "--output"],
 }
-_NON_FINITE = [(c, b) for c in _WRITERS for b in ("nan", "inf", "-inf")]
+_NON_FINITE = [(c, b) for c in ("filter", "transform", "spectrum") for b in ("nan", "inf", "-inf")]
+# 16 samples of 1e308 are finite, but their coefficient 0 (4e308) is not
+_NON_FINITE += [(c, "1e308") for c in ("transform", "transform-natural", "spectrum")]
 
 
 # filter cases carry bare ids such as [nan], so that their ids stay stable
@@ -229,13 +237,37 @@ _NON_FINITE = [(c, b) for c in _WRITERS for b in ("nan", "inf", "-inf")]
                          ids=[b if c == "filter" else f"{c}-{b}" for c, b in _NON_FINITE])
 def test_filter_non_finite_sample_exits_3_without_outputs(tmp_path, capsys, command, bad):
     src = tmp_path / "bad.csv"
-    lines = [f"{np.sin(k):.17g}" for k in range(64)]
-    lines[17] = bad
+    if bad == "1e308":
+        lines, message = [bad] * 16, "transform result is beyond float64"
+    else:
+        lines, message = [f"{np.sin(k):.17g}" for k in range(64)], "non-finite"
+        lines[17] = bad
     src.write_text("\n".join(lines) + "\n")
     code = main([*_WRITERS[command], str(tmp_path / "out"), "--input", str(src)])
     assert code == 3
-    assert "non-finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--output"],
+    ["transform", "--inverse", "--output"],
+    ["transform", "--order", "natural", "--output"],
+    ["spectrum", "--which", "both", "--output"],
+], ids=["sequency", "sequency-inverse", "natural", "spectrum"])
+def test_samples_near_float64_limit_give_finite_coefficients(tmp_path, capsys, argv):
+    src = tmp_path / "big.csv"
+    src.write_text("1e307\n" * 64)  # coefficient 0 is 8e307
+    assert main([*argv, str(tmp_path / "o.csv"), "--input", str(src)]) == 0
+    outputs = sorted(tmp_path.glob("o*.csv"))
+    assert len(outputs) == (2 if argv[0] == "spectrum" else 1)
+    for path in outputs:
+        values = _read_values(path)
+        assert values[0] == pytest.approx(8e307, rel=1e-15)
+        assert not values[1:].any()
+    out = capsys.readouterr().out
+    if argv[0] == "transform":
+        assert out.startswith("parseval: |input|=8e+307 |output|=8e+307 drift=")
 
 
 def test_filter_huge_samples_keep_their_scale(tmp_path):

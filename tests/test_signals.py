@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from walshdsp import signals as sg
@@ -116,6 +120,23 @@ def test_csv_round_trip_with_index(tmp_path):
     assert text.splitlines()[0].startswith("0,")
     back = sg.load_csv(path)
     assert np.array_equal(back.values, v)
+
+
+_EXTREMES = [5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max, -sys.float_info.max, -0.0, 0.0]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EXTREMES),
+                min_size=1, max_size=40),
+       st.booleans())
+@example(_EXTREMES, False)
+@example(_EXTREMES, True)
+def test_csv_round_trip_is_bit_exact(tmp_path, values, with_index):
+    v = np.array(values, dtype=np.float64)
+    path = tmp_path / "v.csv"
+    sg.save_csv(path, v, with_index=with_index)
+    back = sg.load_csv(path).values
+    assert np.array_equal(back.view(np.uint64), v.view(np.uint64))
 
 
 def test_csv_header_skipped(tmp_path):

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from walshdsp import simulator as sim
-from walshdsp.circuits import Circuit, build_filter_circuit
+from walshdsp.circuits import Circuit, build_filter_circuit, build_uz
 from walshdsp.filters import FilterSpec
-from walshdsp.transforms import SizingError, time_series
+from walshdsp.transforms import SizingError, natural_to_sequency_perm, time_series
 
 RNG = np.random.default_rng(42)
 
@@ -242,6 +242,16 @@ def test_run_circuit_matches_gate_fold_and_matrix_product(circuit, complex_state
     assert compiled.amplitudes.dtype == state.amplitudes.dtype
     assert_allclose(compiled.amplitudes, folded.amplitudes, atol=1e-12)
     assert_allclose(compiled.amplitudes, unitary @ state.amplitudes, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_uz_gather_index_is_the_inverse_sequency_map(n):
+    # uz sends |s> to |sequency_of(s)>, so its layer reads amplitude g from
+    # natural position inverse[g]
+    source = sim._source_index(list(build_uz(n).gates), n)
+    _, inverse = natural_to_sequency_perm(n)
+    assert source.dtype == inverse.dtype
+    assert np.array_equal(source, inverse)
 
 
 @pytest.mark.parametrize(

@@ -190,6 +190,38 @@ def test_perm_inverse_bit_identity(n):
             assert (s >> k) & 1 == g_hi ^ g_lo
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_perm_matches_scalar_sequency_of(n):
+    fwd, _ = tr.natural_to_sequency_perm(n)
+    assert fwd.tolist() == [tr.sequency_of(s, n) for s in range(1 << n)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, tr.BRUTE_FORCE_BOUND).flatmap(
+    lambda n: st.tuples(st.integers(0, (1 << n) - 1), st.just(n))))
+def test_perm_matches_bruteforce_zero_crossings(s_n):
+    s, n = s_n
+    fwd, inv = tr.natural_to_sequency_perm(n)
+    g = tr.zero_crossings_bruteforce(s, n)
+    assert fwd[s] == g
+    assert inv[g] == s
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 2**16 - 1), max_size=10), st.integers(0, 2**16 - 1))
+def test_gf2_index_matches_xor_fold(columns, offset):
+    want = []
+    for j in range(1 << len(columns)):
+        acc = offset
+        for b, col in enumerate(columns):
+            if (j >> b) & 1:
+                acc ^= col
+        want.append(acc)
+    got = tr.gf2_index(columns, offset)
+    assert got.dtype == np.intp
+    assert got.tolist() == want
+
+
 # ---------------------------------------------------------------------------
 # natural-order fast transform
 
@@ -285,6 +317,55 @@ def test_wht_sequency_round_trip_property(vals):
     v = np.asarray(vals)
     twice = tr.wht_sequency(tr.wht_sequency(tr.time_series(v)))
     assert_allclose(twice.values, v, atol=1e-9 * max(1.0, np.abs(v).max()))
+
+
+def unscaled_butterfly_oracle(values):
+    """Radix-2 butterflies on the raw samples, low stride first, then 1/sqrt(N).
+
+    Same additions in the same order as the library kernel, so for samples
+    that neither overflow nor underflow it gives the same bits.
+    """
+    out = values.copy()
+    half = 1
+    while half < out.size:
+        for i in range(0, out.size, 2 * half):
+            a, b = out[i:i + half].copy(), out[i + half:i + 2 * half].copy()
+            out[i:i + half], out[i + half:i + 2 * half] = a + b, a - b
+        half *= 2
+    return out * (1.0 / np.sqrt(out.size))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-5, 1.0, 3.0, 7e5, 1e300])
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_peak_units_keep_the_bits_of_ordinary_input(n, scale):
+    v = RNG.standard_normal(1 << n) * scale
+    v[::3] = 0.0
+    nat = tr.fwht_natural(v).values
+    assert np.array_equal(nat.view(np.uint64), unscaled_butterfly_oracle(v).view(np.uint64))
+    _, inv = tr.natural_to_sequency_perm(n)
+    seq = tr.wht_sequency(v).values
+    assert np.array_equal(seq.view(np.uint64), nat[inv].view(np.uint64))
+    dft = tr.dft_spectrum(v)
+    assert np.array_equal(dft.view(np.uint64), np.fft.fft(v, norm="ortho").view(np.uint64))
+
+
+def test_transforms_near_the_float64_limit():
+    huge = np.full(64, 1e307)  # unscaled sums reach 6.4e308; coefficient 0 is 8e307
+    for out in (
+        tr.fwht_natural(huge).values,
+        tr.wht_sequency(huge).values,
+        tr.wht_sequency(tr.Coefficients(huge, tr.SEQUENCY)).values,
+        tr.wht_sequency(tr.Coefficients(huge, tr.SEQUENCY), inverse=True).values,
+        np.abs(tr.dft_spectrum(huge)),
+    ):
+        assert out[0] == pytest.approx(8e307, rel=1e-15)
+        assert not out[1:].any()
+    over = np.full(16, 1e308)  # coefficient 0 would be 4e308
+    for transform in (tr.fwht_natural, tr.wht_sequency, tr.dft_spectrum):
+        with pytest.raises(ValueError, match="beyond float64"):
+            transform(over)
+        with pytest.raises(ValueError, match="non-finite"):
+            transform([1.0, np.nan, 0.0, np.inf])
 
 
 def test_parseval_both_orderings():
