@@ -30,6 +30,7 @@ import json
 from dataclasses import dataclass
 
 from walshdsp.simulator import CLOSED, OPEN, Gate, cnot, h, mcx, swap, x
+from walshdsp.transforms import check_bits
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,7 @@ def build_uz(n: int) -> Circuit:
     reverse the qubit order so the prefix of the low bits lands in the high
     position. n=1 needs no gates.
     """
-    if n < 1:
-        raise ValueError(f"need at least 1 qubit, got {n}")
-    gates = [cnot(k - 1, k) for k in range(1, n)]
+    gates = [cnot(k - 1, k) for k in range(1, check_bits(n))]
     gates += [swap(j, n - 1 - j) for j in range(n // 2)]
     return Circuit(n, tuple(gates), f"uz(n={n})")
 
@@ -113,21 +112,30 @@ def _normalize_intervals(intervals, size: int) -> list[tuple[int, int]]:
     return merged
 
 
-def _dyadic_blocks(lo: int, hi: int, n: int) -> list[tuple[int, int]]:
-    """Greedy maximal dyadic cover of [lo, hi) as (start, t) with size 2**t."""
+def _dyadic_blocks(merged, n: int) -> list[tuple[int, int]]:
+    """Greedy maximal dyadic cover of merged intervals as (start, t) with size 2**t."""
     blocks = []
-    cur = lo
-    while cur < hi:
-        align = n if cur == 0 else (cur & -cur).bit_length() - 1
-        t = min(align, (hi - cur).bit_length() - 1)
-        blocks.append((cur, t))
-        cur += 1 << t
+    for lo, hi in merged:
+        cur = lo
+        while cur < hi:
+            align = n if cur == 0 else (cur & -cur).bit_length() - 1
+            t = min(align, (hi - cur).bit_length() - 1)
+            blocks.append((cur, t))
+            cur += 1 << t
     return blocks
 
 
-def _count_blocks(intervals, size: int, n: int) -> int:
-    merged = _normalize_intervals(intervals, size)
-    return sum(len(_dyadic_blocks(lo, hi, n)) for lo, hi in merged)
+def _selector_gates(blocks, n: int) -> list[Gate]:
+    """One MCX on the ancilla per dyadic block, controlled by its high bits."""
+    gates = []
+    for start, t in blocks:
+        m = start >> t
+        controls = [
+            (q, CLOSED if (m >> (q - t)) & 1 else OPEN)
+            for q in range(n - 1, t - 1, -1)
+        ]
+        gates.append(mcx(controls, n))
+    return gates
 
 
 def build_sequency_selector(n: int, band) -> Circuit:
@@ -140,19 +148,8 @@ def build_sequency_selector(n: int, band) -> Circuit:
     qubit i is closed where bit i-t of m is 1 and open where it is 0. A
     one-block band of size 2**(n-r) therefore costs a single r-control gate.
     """
-    if n < 1:
-        raise ValueError(f"need at least 1 data qubit, got {n}")
-    size = 1 << n
-    merged = _normalize_intervals(band, size)
-    gates = []
-    for lo, hi in merged:
-        for start, t in _dyadic_blocks(lo, hi, n):
-            m = start >> t
-            controls = [
-                (q, CLOSED if (m >> (q - t)) & 1 else OPEN)
-                for q in range(n - 1, t - 1, -1)
-            ]
-            gates.append(mcx(controls, n))
+    merged = _normalize_intervals(band, 1 << check_bits(n))
+    gates = _selector_gates(_dyadic_blocks(merged, n), n)
     spans = ",".join(f"[{lo}:{hi})" for lo, hi in merged)
     return Circuit(n + 1, tuple(gates), f"selector(n={n}, band={spans})")
 
@@ -171,12 +168,10 @@ def build_filter_circuit(n: int, spec, *, swapped: bool = False) -> Circuit:
     stop_intervals and describe (see walshdsp.filters.FilterSpec); this is
     where it is checked against the size.
     """
-    if n < 1:
-        raise ValueError(f"need at least 1 data qubit, got {n}")
-    size = 1 << n
+    size = 1 << check_bits(n)
     spec.validate_for(size)
-    pass_ivs = spec.pass_intervals(size)
-    stop_ivs = spec.stop_intervals(size)
+    pass_blocks = _dyadic_blocks(_normalize_intervals(spec.pass_intervals(size), size), n)
+    stop_blocks = _dyadic_blocks(_normalize_intervals(spec.stop_intervals(size), size), n)
     if spec.kind == "dc":
         # index 0 is a fixed point of the reordering, so the permutation
         # stages cancel and the cheap no-X form needs just one selector gate
@@ -184,22 +179,20 @@ def build_filter_circuit(n: int, spec, *, swapped: bool = False) -> Circuit:
         uz: tuple[Gate, ...] = ()
     else:
         uz = build_uz(n).gates
-        pass_blocks = _count_blocks(pass_ivs, size, n)
-        stop_blocks = _count_blocks(stop_ivs, size, n)
         if spec.kind == "band":
-            fire_pass = pass_blocks < stop_blocks
+            fire_pass = len(pass_blocks) < len(stop_blocks)
         else:
-            fire_pass = pass_blocks <= stop_blocks
+            fire_pass = len(pass_blocks) <= len(stop_blocks)
     x_front = fire_pass != bool(swapped)
-    fired = pass_ivs if fire_pass else stop_ivs
 
+    h_layer = [h(q) for q in range(n)]
     gates: list[Gate] = [x(n)] if x_front else []
-    gates += [h(q) for q in range(n)]
+    gates += h_layer
     gates += uz
-    gates += build_sequency_selector(n, fired).gates
+    gates += _selector_gates(pass_blocks if fire_pass else stop_blocks, n)
     # every uz gate is its own inverse
     gates += reversed(uz)
-    gates += [h(q) for q in range(n)]
+    gates += h_layer
 
     tag = ", swapped" if swapped else ""
     label = f"filter({spec.describe()}, n={n}{tag})"

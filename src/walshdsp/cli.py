@@ -2,9 +2,9 @@
 
 Subcommands: transform, filter, spectrum, sequency-map, verify, gates.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 runtime
-error (missing files, malformed CSV, nan or inf samples, non power-of-two
-lengths, cutoffs that do not resolve to an integer, a transform result
-beyond float64).
+error (missing files, malformed CSV, nan or inf samples, lengths that are
+not a power of two or are 1, cutoffs that do not resolve to an integer, a
+transform result beyond float64).
 
 Cutoffs and band edges accept plain integers or expressions in the loaded
 length: ``N``, ``N/4``, ``3N/4``. Expressions must resolve exactly; ``N/3``
@@ -116,13 +116,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parseval_line(before: np.ndarray, after: np.ndarray) -> str:
-    # norms in binary units of the larger peak, so that huge samples do not
-    # overflow them
-    peak = max(np.max(np.abs(before), initial=0.0), np.max(np.abs(after), initial=0.0))
-    unit = transforms.binary_unit(peak)
-    a = unit * float(np.linalg.norm(before / unit))
-    b = unit * float(np.linalg.norm(after / unit))
-    return f"parseval: |input|={a:.12g} |output|={b:.12g} drift={abs(a - b):.3e}"
+    # norms and drift in peak units, so that huge samples overflow neither
+    # the drift nor, while float64 can hold them, the norms
+    unit, (before, after) = transforms.peak_units(before, after)
+    a, b = float(np.linalg.norm(before)), float(np.linalg.norm(after))
+    return f"parseval: |input|={unit * a:.12g} |output|={unit * b:.12g} drift={unit * abs(a - b):.3e}"
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:

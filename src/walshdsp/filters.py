@@ -25,7 +25,7 @@ from walshdsp.transforms import (
     Coefficients,
     SEQUENCY,
     TIME,
-    binary_unit,
+    peak_units,
     time_series,
     time_signal,
     wht_sequency,
@@ -195,17 +195,18 @@ def compare(a, b) -> dict[str, float]:
 
     l2_rel divides by the norm of b (the reference); if that norm is zero the
     ratio degenerates to 0 when the difference is zero too, else infinity.
+    ValueError on a nan or inf entry.
     """
     av = a.values if isinstance(a, Coefficients) else np.asarray(a, dtype=np.float64)
     bv = b.values if isinstance(b, Coefficients) else np.asarray(b, dtype=np.float64)
     if av.size != bv.size:
         raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
-    # measured in binary units of the larger peak, so that the norms of huge
-    # or tiny signals neither overflow nor underflow
-    unit = binary_unit(max(np.max(np.abs(av), initial=0.0), np.max(np.abs(bv), initial=0.0)))
-    diff = av / unit - bv / unit
+    # measured in peak units, so that the norms of huge or tiny signals
+    # neither overflow nor underflow
+    unit, (av, bv) = peak_units(av, bv)
+    diff = av - bv
     l2_diff = float(np.linalg.norm(diff))
-    ref = float(np.linalg.norm(bv / unit))
+    ref = float(np.linalg.norm(bv))
     if ref == 0.0:
         l2_rel = 0.0 if l2_diff == 0.0 else float("inf")
     else:

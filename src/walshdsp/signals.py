@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from walshdsp.transforms import Coefficients, TIME
+from walshdsp.transforms import Coefficients, TIME, check_bits
 
 KINDS = ("sine", "triangular", "rectangular_pulse", "square")
 
@@ -55,10 +55,8 @@ class Waveform:
 
 
 def discretize(waveform: Waveform, n: int) -> Coefficients:
-    """Sample the waveform at the 2**n subinterval midpoints."""
-    if n < 1:
-        raise ValueError(f"bit width must be at least 1, got {n}")
-    size = 1 << n
+    """Sample the waveform at the 2**n subinterval midpoints (n >= 1)."""
+    size = 1 << check_bits(n)
     t = (2 * np.arange(size) + 1) / (2 * size)
     a = waveform.amplitude
     if waveform.kind == "sine":

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from walshdsp.transforms import _fwht_inplace, binary_unit, gf2_index, time_signal
+from walshdsp.transforms import _fwht_inplace, gf2_index, peak_units, time_signal
 
 OPEN = "open"
 CLOSED = "closed"
@@ -286,20 +286,20 @@ def amplitude_encode(signal) -> tuple[Statevector, float]:
 
     scale is the signal's 2-norm, kept so callers can restore physical units
     after measurement-style projections. Ancilla prepending is the caller's
-    job: a 2**n-sample signal encodes into exactly n qubits.
+    job: a 2**n-sample signal encodes into exactly n qubits (n >= 1).
+
+    The norm is taken in peak units, so huge or tiny samples neither overflow
+    nor underflow it, and the amplitudes (x / unit) / norm keep the bits of
+    ordinary samples.
     """
     signal, n = time_signal(signal)
-    # the norm is taken in binary units of the peak, so huge or tiny samples
-    # neither overflow nor underflow it; a NaN or inf sample makes the peak
-    # non-finite
-    peak = float(np.max(np.abs(signal.values)))
-    if not math.isfinite(peak):
-        raise NormalizationError("cannot amplitude-encode non-finite samples")
-    if peak == 0.0:
-        raise NormalizationError("cannot amplitude-encode an all-zero signal")
-    unit = binary_unit(peak)
-    scaled = signal.values / unit
+    try:
+        unit, (scaled,) = peak_units(signal.values)
+    except ValueError as err:
+        raise NormalizationError(f"cannot amplitude-encode {err}") from err
     norm = float(np.linalg.norm(scaled))
+    if norm == 0.0:
+        raise NormalizationError("cannot amplitude-encode an all-zero signal")
     scale = unit * norm
     if not math.isfinite(scale):
         raise NormalizationError("signal norm overflows float64")

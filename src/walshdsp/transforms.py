@@ -11,13 +11,17 @@ Conventions used throughout the package:
   the Walsh-domain analogue of frequency. Row s of the natural matrix lands at
   sequency position g = sequency_of(s, n).
 
+The package's input rules live here. A signal holds 2**n samples, n >= 1:
+check_bits is the one floor on n and bit_width the one length check, so a
+1-sample signal and n < 1 raise the same SizingError. Sums and norms are
+taken in peak units (peak_units, an exact power-of-two rescaling that rejects
+nan and inf), so finite samples near the float64 limit give finite
+coefficients; a coefficient that float64 cannot hold raises ValueError.
+
 The sequency map (prefix XORs of the index bits, in reversed bit order) is
 GF(2)-linear; gf2_index builds it and the simulator's permutation layers.
-The oracle, a brute-force zero-crossing count, is guarded by a cost bound.
-
-The transforms run their sums in binary units of the peak sample, so finite
-samples near the float64 limit give finite coefficients; a coefficient that
-float64 cannot hold, or a nan or inf sample, raises ValueError.
+The oracles, a brute-force zero-crossing count and the dense sequency matrix,
+refuse bit widths above BRUTE_FORCE_BOUND.
 """
 
 from __future__ import annotations
@@ -33,12 +37,12 @@ SEQUENCY = "sequency"
 
 _ORDER_TAGS = (TIME, NATURAL, SEQUENCY)
 
-# refuse brute-force materialization above this bit width unless overridden
+# refuse brute-force materialization above this bit width
 BRUTE_FORCE_BOUND = 20
 
 
 class SizingError(ValueError):
-    """Raised when a transform receives a vector whose length is not 2**n."""
+    """Raised for a length that is not 2**n, or a bit width n below 1."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,11 +79,18 @@ def _as_coefficients(v) -> Coefficients:
     return v if isinstance(v, Coefficients) else time_series(v)
 
 
+def check_bits(n: int) -> int:
+    """n itself if it is a usable bit width (at least 1); SizingError otherwise."""
+    if n < 1:
+        raise SizingError(f"bit width must be at least 1 (2 samples), got {n}")
+    return n
+
+
 def bit_width(size: int) -> int:
-    """Bit width n for a power-of-two size; SizingError otherwise."""
+    """Bit width n of a size 2**n with n >= 1; SizingError otherwise."""
     if size < 1 or size & (size - 1):
         raise SizingError(f"length {size} is not a power of two")
-    return size.bit_length() - 1
+    return check_bits(size.bit_length() - 1)
 
 
 def time_signal(v) -> tuple[Coefficients, int]:
@@ -90,19 +101,27 @@ def time_signal(v) -> tuple[Coefficients, int]:
     return v, bit_width(len(v))
 
 
-def binary_unit(peak: float) -> float:
-    """Largest power of two not above peak; 1.0 for a peak of 0, inf or nan.
+def peak_units(*arrays: np.ndarray) -> tuple[float, list[np.ndarray]]:
+    """The largest power of two not above every |entry| (1.0 if all are 0), and
+    each array divided by it.
 
-    Dividing a vector by the binary unit of its largest magnitude is exact
-    and brings that magnitude into [1, 2), so a norm taken afterwards neither
-    overflows nor underflows.
+    The division is exact and brings the peak into [1, 2), so sums and norms
+    taken afterwards neither overflow nor underflow. ValueError on a nan or
+    inf in any array.
     """
-    return math.ldexp(0.5, math.frexp(peak)[1]) if 0.0 < peak < math.inf else 1.0
+    peak = 0.0
+    for a in arrays:
+        # max and -min, not an abs temporary; each is checked, as max() skips nan
+        top, bottom = float(a.max(initial=0.0)), float(a.min(initial=0.0))
+        if not (math.isfinite(top) and math.isfinite(bottom)):
+            raise ValueError("non-finite samples")
+        peak = max(peak, top, -bottom)
+    unit = math.ldexp(0.5, math.frexp(peak)[1]) if peak else 1.0
+    return unit, [a / unit for a in arrays]
 
 
 def _check_index(s: int, n: int) -> None:
-    if n < 1:
-        raise ValueError(f"bit width must be at least 1, got {n}")
+    check_bits(n)
     if not 0 <= s < (1 << n):
         raise ValueError(f"index {s} out of range for {n} bits")
 
@@ -140,15 +159,15 @@ def sequency_recursion_trace(s: int, n: int) -> list[int]:
     return trace
 
 
-def zero_crossings_bruteforce(s: int, n: int, bound: int = BRUTE_FORCE_BOUND) -> int:
+def zero_crossings_bruteforce(s: int, n: int) -> int:
     """Count sign changes of the materialized ±1 row; oracle for sequency_of.
 
     Materializes F(k) = (-1)^(s.k) for all k < 2**n and counts the changes as
     half the sum of |F(k+1) - F(k)|. Cost is O(2**n), hence the bound guard.
     """
     _check_index(s, n)
-    if n > bound:
-        raise ValueError(f"bit width {n} exceeds brute-force bound {bound}")
+    if n > BRUTE_FORCE_BOUND:
+        raise ValueError(f"bit width {n} exceeds brute-force bound {BRUTE_FORCE_BOUND}")
     k = np.arange(1 << n)
     v = s & k
     # bitwise parity fold; n is capped well below the 32-bit width
@@ -176,8 +195,7 @@ def natural_to_sequency_perm(n: int) -> tuple[np.ndarray, np.ndarray]:
     forward[s] = sequency_of(s, n), a GF(2)-linear map built from the images
     of the unit indices; inverse is forward scattered back.
     """
-    if n < 1:
-        raise ValueError(f"bit width must be at least 1, got {n}")
+    check_bits(n)
     forward = gf2_index([sequency_of(1 << j, n) for j in range(n)])
     inverse = np.empty_like(forward)
     inverse[forward] = np.arange(forward.size)
@@ -210,11 +228,8 @@ def _in_peak_units(values: np.ndarray, linear) -> np.ndarray:
     limit cannot overflow the sums in between. ValueError on a nan or inf
     sample and on a result beyond float64.
     """
-    peak = max(float(values.max()), -float(values.min()))
-    if not math.isfinite(peak):
-        raise ValueError("cannot transform non-finite samples")
-    unit = binary_unit(peak)
-    out = linear(values / unit)
+    unit, (scaled,) = peak_units(values)
+    out = linear(scaled)
     if not math.isfinite(float(np.max(np.abs(out))) * unit):
         raise ValueError("transform result is beyond float64")
     out *= unit
@@ -270,17 +285,15 @@ def wht_sequency(v, inverse: bool = False) -> Coefficients:
     return Coefficients(out, tag)
 
 
-def sequency_matrix(n: int, bound: int = BRUTE_FORCE_BOUND) -> np.ndarray:
+def sequency_matrix(n: int) -> np.ndarray:
     """Dense sequency-ordered matrix, built from the literal sign formula.
 
     Entry (k, j) carries sign (-1) to the power sum_r k_{n-1-r} (j_r xor
     j_{r+1}) with j_n = 0, scaled by 1/sqrt(N). Intended as a test oracle and
     for small demos; cost is O(4**n), hence the bound guard.
     """
-    if n < 1:
-        raise ValueError(f"bit width must be at least 1, got {n}")
-    if n > bound:
-        raise ValueError(f"bit width {n} exceeds brute-force bound {bound}")
+    if check_bits(n) > BRUTE_FORCE_BOUND:
+        raise ValueError(f"bit width {n} exceeds brute-force bound {BRUTE_FORCE_BOUND}")
     size = 1 << n
     k = np.arange(size)[:, None]
     j = np.arange(size)[None, :]

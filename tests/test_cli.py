@@ -221,6 +221,23 @@ def test_non_power_of_two_exits_3(tmp_path, capsys):
     assert "power of two" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["filter", "--kind", "dc", "--output-prefix"],
+    ["transform", "--order", "sequency", "--output"],
+    ["transform", "--order", "natural", "--output"],
+    ["spectrum", "--which", "sequency", "--output"],
+    ["spectrum", "--which", "frequency", "--output"],
+    ["spectrum", "--which", "both", "--output"],
+], ids=["filter", "transform-sequency", "transform-natural", "spectrum-sequency",
+        "spectrum-frequency", "spectrum-both"])
+def test_one_sample_exits_3_without_outputs(tmp_path, capsys, argv):
+    src = tmp_path / "one.csv"
+    src.write_text("0.5\n")
+    assert main([*argv, str(tmp_path / "out"), "--input", str(src)]) == 3
+    assert capsys.readouterr().err == "error: bit width must be at least 1 (2 samples), got 0\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv"]
+
+
 _WRITERS = {
     "filter": ["filter", "--kind", "low", "--cutoff", "16", "--output-prefix"],
     "transform": ["transform", "--output"],
@@ -289,6 +306,25 @@ def test_transform_huge_samples_print_finite_norms(tmp_path, capsys):
     assert float(norms["|input|"]) == pytest.approx(4e200)
     assert float(norms["|output|"]) == pytest.approx(4e200)
     assert float(norms["drift"]) <= 1e-12 * 4e200
+
+
+@pytest.mark.parametrize("order,expected", [
+    ("sequency", ["1.1999999999999999e+308", "-1.1999999999999999e+308",
+                  "1.1999999999999999e+308", "1.1999999999999999e+308"]),
+    ("natural", ["1.1999999999999999e+308", "1.1999999999999999e+308",
+                 "-1.1999999999999999e+308", "1.1999999999999999e+308"]),
+])
+def test_transform_norms_beyond_float64_give_a_finite_drift(tmp_path, capsys, order, expected):
+    # finite coefficients whose 2-norm, 2.4e308, float64 cannot hold
+    src, out = tmp_path / "huge.csv", tmp_path / "o.csv"
+    src.write_text("1.2e308\n-1.2e308\n1.2e308\n1.2e308\n")
+    assert main(["transform", "--order", order, "--input", str(src), "--output", str(out)]) == 0
+    assert out.read_text() == "".join(f"{v}\n" for v in expected)
+    line = capsys.readouterr().out
+    assert "nan" not in line
+    norms = dict(field.split("=") for field in line.split()[1:])
+    assert norms["|input|"] == norms["|output|"] == "inf"
+    assert 0.0 <= float(norms["drift"]) <= 1e-15 * 2.4e308
 
 
 def test_unresolvable_cutoff_exits_3(tmp_path, square_csv, capsys):

@@ -13,7 +13,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(script, tmp_path):
-    argv = [sys.executable, str(script)]
+    # the same warning filter as the pytest settings in pyproject.toml
+    argv = [sys.executable, "-W", "error::RuntimeWarning", str(script)]
     if script.stem == "waveform_spectra":
         argv += ["--outdir", str(tmp_path)]
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from walshdsp import circuits, filters, signals, simulator, verification
 from walshdsp import transforms as tr
+from walshdsp.cli import _parseval_line
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -149,8 +151,6 @@ def test_sequency_index_validation():
 def test_bruteforce_bound_guard():
     with pytest.raises(ValueError):
         tr.zero_crossings_bruteforce(1, 21)
-    # explicit bound override is allowed
-    assert tr.zero_crossings_bruteforce(1, 21, bound=21) == (1 << 21) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +270,49 @@ def test_fwht_sizing_error():
     assert "3" in str(err.value)
 
 
+# every function that takes a bit width n, called with n alone
+_TAKES_N = {
+    "check_bits": tr.check_bits,
+    "sequency_of": lambda n: tr.sequency_of(0, n),
+    "sequency_recursion_trace": lambda n: tr.sequency_recursion_trace(0, n),
+    "zero_crossings_bruteforce": lambda n: tr.zero_crossings_bruteforce(0, n),
+    "natural_to_sequency_perm": tr.natural_to_sequency_perm,
+    "sequency_matrix": tr.sequency_matrix,
+    "build_uz": circuits.build_uz,
+    "build_uz_inverse": circuits.build_uz_inverse,
+    "build_sequency_wht": circuits.build_sequency_wht,
+    "build_sequency_selector": lambda n: circuits.build_sequency_selector(n, []),
+    "build_filter_circuit": lambda n: circuits.build_filter_circuit(n, filters.FilterSpec.dc()),
+    "discretize": lambda n: signals.discretize(signals.Waveform("sine"), n),
+    "step_composite": signals.step_composite,
+    "tone_composite": signals.tone_composite,
+    "check_path_equivalence": verification.check_path_equivalence,
+}
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("name", sorted(_TAKES_N))
+def test_one_bit_width_floor_with_one_message(name, n):
+    with pytest.raises(tr.SizingError) as err:
+        _TAKES_N[name](n)
+    assert str(err.value) == f"bit width must be at least 1 (2 samples), got {n}"
+
+
+@pytest.mark.parametrize("call", [
+    tr.fwht_natural,
+    tr.wht_sequency,
+    tr.dft_spectrum,
+    simulator.amplitude_encode,
+    lambda v: filters.filter_quantum(v, filters.FilterSpec.dc()),
+    lambda v: filters.filter_classical_oracle(v, filters.FilterSpec.dc()),
+], ids=["fwht_natural", "wht_sequency", "dft_spectrum", "amplitude_encode", "filter_quantum",
+        "filter_classical_oracle"])
+def test_one_sample_is_a_sizing_error(call):
+    with pytest.raises(tr.SizingError) as err:
+        call([0.5])
+    assert str(err.value) == "bit width must be at least 1 (2 samples), got 0"
+
+
 # ---------------------------------------------------------------------------
 # sequency-order transform
 
@@ -347,6 +390,22 @@ def test_peak_units_keep_the_bits_of_ordinary_input(n, scale):
     assert np.array_equal(seq.view(np.uint64), nat[inv].view(np.uint64))
     dft = tr.dft_spectrum(v)
     assert np.array_equal(dft.view(np.uint64), np.fft.fft(v, norm="ortho").view(np.uint64))
+    if 1e-100 < scale < 1e100:  # where plain norms neither overflow nor underflow
+        norm = np.linalg.norm
+        diff = nat - v
+        plain = {"l2_abs": norm(diff), "l2_rel": norm(diff) / norm(v), "linf": np.max(np.abs(diff))}
+        assert filters.compare(nat, v) == plain
+        a, b = norm(v), norm(nat)
+        assert _parseval_line(v, nat) == f"parseval: |input|={a:.12g} |output|={b:.12g} drift={abs(a - b):.3e}"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("position", [0, 1])
+def test_peak_units_reject_non_finite_values_in_any_argument(position, bad):
+    arrays = [np.ones(4), np.full(4, 3.0)]
+    arrays[position][2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        tr.peak_units(*arrays)
 
 
 def test_transforms_near_the_float64_limit():

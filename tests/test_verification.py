@@ -2,7 +2,7 @@
 
 import pytest
 
-from walshdsp import transforms, verification
+from walshdsp import circuits, transforms, verification
 
 
 def test_run_all_passes():
@@ -13,28 +13,39 @@ def test_run_all_passes():
         assert r.detail
 
 
-def _broken_map(s, n):
-    # one transposed output pair at n=3
-    g = transforms.sequency_of(s, n)
-    if n == 3 and s in (5, 6):
-        return transforms.sequency_of(11 - s, n)
-    return g
+def _break_map(monkeypatch):
+    real = transforms.sequency_of  # captured first, or the patch would call itself
+
+    def broken(s, n):
+        # one transposed output pair at n=3
+        return real(11 - s if n == 3 and s in (5, 6) else s, n)
+
+    monkeypatch.setattr(transforms, "sequency_of", broken)
+
+
+def _drop_a_gate(monkeypatch):
+    real = circuits.build_sequency_wht
+
+    def broken(n):
+        # the closing SWAP of the reordering goes missing at n=3
+        circuit = real(n)
+        gates = circuit.gates[:-1] if n == 3 else circuit.gates
+        return circuits.Circuit(circuit.n_qubits, gates, circuit.label)
+
+    monkeypatch.setattr(circuits, "build_sequency_wht", broken)
 
 
 @pytest.mark.parametrize(
-    "check",
-    [verification.check_sequency_map, verification.check_circuit_vs_matrix],
+    "check,inject",
+    [(verification.check_sequency_map, _break_map), (verification.check_circuit_vs_matrix, _drop_a_gate)],
     ids=["map", "matrix"],
 )
-def test_injected_fault_is_detected(check):
-    result = check(4, _broken_map)
+def test_injected_fault_is_detected(monkeypatch, check, inject):
+    assert check(4).ok
+    inject(monkeypatch)
+    result = check(4)
     assert not result.ok
-    assert result.detail
-
-
-def test_checks_pass_with_explicit_real_map():
-    assert verification.check_sequency_map(5, transforms.sequency_of).ok
-    assert verification.check_circuit_vs_matrix(4, transforms.sequency_of).ok
+    assert "n=3" in result.detail
 
 
 def test_path_equivalence_standalone():
