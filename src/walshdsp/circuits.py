@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from walshdsp.simulator import CLOSED, OPEN, Gate, cnot, h, mcx, swap, x
+from walshdsp.simulator import CLOSED, GATE_KINDS, OPEN, Gate, cnot, h, mcx, swap, x
 from walshdsp.transforms import check_bits
 
 
@@ -166,12 +166,14 @@ def build_filter_circuit(n: int, spec, *, swapped: bool = False) -> Circuit:
 
     spec is a filter description exposing kind, validate_for, pass_intervals,
     stop_intervals and describe (see walshdsp.filters.FilterSpec); this is
-    where it is checked against the size.
+    where it is checked against the size. Once validate_for(2**n) passes, the
+    builder takes both interval lists as given: integer, sorted, disjoint and
+    not touching, within [0, 2**n).
     """
     size = 1 << check_bits(n)
     spec.validate_for(size)
-    pass_blocks = _dyadic_blocks(_normalize_intervals(spec.pass_intervals(size), size), n)
-    stop_blocks = _dyadic_blocks(_normalize_intervals(spec.stop_intervals(size), size), n)
+    pass_blocks = _dyadic_blocks(spec.pass_intervals(size), n)
+    stop_blocks = _dyadic_blocks(spec.stop_intervals(size), n)
     if spec.kind == "dc":
         # index 0 is a fixed point of the reordering, so the permutation
         # stages cancel and the cheap no-X form needs just one selector gate
@@ -205,7 +207,7 @@ def gate_stats(circuit: Circuit) -> GateStats:
     Depth places each gate in the earliest layer where all its qubits are
     free, the standard conservative layering.
     """
-    counts = {kind: 0 for kind in ("H", "X", "CNOT", "SWAP", "MCX")}
+    counts = dict.fromkeys(GATE_KINDS, 0)
     arities = []
     level = [0] * circuit.n_qubits
     depth = 0
@@ -220,31 +222,28 @@ def gate_stats(circuit: Circuit) -> GateStats:
     return GateStats(counts, tuple(sorted(arities)), depth, len(circuit.gates))
 
 
+# JSON field names per gate kind, in Gate.qubits order (an MCX's controls are one list)
+_FIELDS = {"H": ("qubit",), "X": ("qubit",), "CNOT": ("control", "target"),
+           "SWAP": ("a", "b"), "MCX": ("controls", "target")}
+
+
 def _gate_record(gate: Gate) -> dict:
-    if gate.kind in ("H", "X"):
-        return {"kind": gate.kind, "qubit": gate.qubits[0]}
-    if gate.kind == "CNOT":
-        return {"kind": "CNOT", "control": gate.qubits[0], "target": gate.qubits[1]}
-    if gate.kind == "SWAP":
-        return {"kind": "SWAP", "a": gate.qubits[0], "b": gate.qubits[1]}
-    controls = [{"qubit": q, "polarity": p} for q, p in gate.controls]
-    return {"kind": "MCX", "controls": controls, "target": gate.target}
+    if gate.kind == "MCX":
+        values = ([{"qubit": q, "polarity": p} for q, p in gate.controls], gate.target)
+    else:
+        values = gate.qubits
+    return {"kind": gate.kind, **dict(zip(_FIELDS[gate.kind], values))}
 
 
 def _gate_from_record(rec: dict) -> Gate:
     kind = rec["kind"]
-    if kind == "H":
-        return h(rec["qubit"])
-    if kind == "X":
-        return x(rec["qubit"])
-    if kind == "CNOT":
-        return cnot(rec["control"], rec["target"])
-    if kind == "SWAP":
-        return swap(rec["a"], rec["b"])
+    if kind not in _FIELDS:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    values = [rec[name] for name in _FIELDS[kind]]
     if kind == "MCX":
-        controls = [(c["qubit"], c["polarity"]) for c in rec["controls"]]
-        return mcx(controls, rec["target"])
-    raise ValueError(f"unknown gate kind {kind!r}")
+        controls, target = values
+        return mcx([(c["qubit"], c["polarity"]) for c in controls], target)
+    return Gate(kind, tuple(values))
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:

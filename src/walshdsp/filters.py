@@ -34,6 +34,16 @@ from walshdsp.transforms import (
 KINDS = ("dc", "low", "high", "band")
 
 
+def _integral(value, what: str) -> int:
+    """value as an int if it is integral; ValueError otherwise."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FilterSpec:
     """What to keep: kind plus cutoff (low/high) or band edges (band).
@@ -43,6 +53,9 @@ class FilterSpec:
     high -> [cutoff, N)          with 0 < cutoff <= N
     band -> [band[0], band[1])   with 0 <= band[0] < band[1] <= N
     dc   -> [1, N), i.e. everything except the mean component
+
+    Cutoffs and band edges are stored as int: 4, 4.0 and numpy.int64(4) all
+    give 4, and a value that is not integral (4.5, nan, "4") is a ValueError.
     """
 
     kind: str
@@ -55,10 +68,11 @@ class FilterSpec:
         if self.kind in ("low", "high"):
             if self.cutoff is None or self.band is not None:
                 raise ValueError(f"{self.kind} takes a cutoff and no band")
+            object.__setattr__(self, "cutoff", _integral(self.cutoff, "cutoff"))
         elif self.kind == "band":
             if self.band is None or self.cutoff is not None:
                 raise ValueError("band takes band edges and no cutoff")
-            lo, hi = int(self.band[0]), int(self.band[1])
+            lo, hi = _integral(self.band[0], "band edge"), _integral(self.band[1], "band edge")
             if not 0 <= lo < hi:
                 raise ValueError(f"band edges must satisfy 0 <= {lo} < {hi}")
             object.__setattr__(self, "band", (lo, hi))
@@ -67,15 +81,15 @@ class FilterSpec:
 
     @classmethod
     def low_pass(cls, cutoff: int) -> "FilterSpec":
-        return cls("low", cutoff=int(cutoff))
+        return cls("low", cutoff=cutoff)
 
     @classmethod
     def high_pass(cls, cutoff: int) -> "FilterSpec":
-        return cls("high", cutoff=int(cutoff))
+        return cls("high", cutoff=cutoff)
 
     @classmethod
     def band_pass(cls, low_edge: int, high_edge: int) -> "FilterSpec":
-        return cls("band", band=(int(low_edge), int(high_edge)))
+        return cls("band", band=(low_edge, high_edge))
 
     @classmethod
     def dc(cls) -> "FilterSpec":

@@ -40,7 +40,7 @@ from walshdsp.transforms import _fwht_inplace, gf2_index, peak_units, time_signa
 OPEN = "open"
 CLOSED = "closed"
 
-_GATE_KINDS = ("H", "X", "CNOT", "SWAP", "MCX")
+GATE_KINDS = ("H", "X", "CNOT", "SWAP", "MCX")
 _PERMUTATION_KINDS = ("X", "CNOT", "SWAP")
 _NORM_TOL = 1e-10
 _RSQRT2 = 1.0 / np.sqrt(2.0)
@@ -64,7 +64,7 @@ class Gate:
     polarities: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        if self.kind not in _GATE_KINDS:
+        if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         arity = {"H": 1, "X": 1, "CNOT": 2, "SWAP": 2}.get(self.kind)
         if arity is not None and len(self.qubits) != arity:

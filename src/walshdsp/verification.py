@@ -3,7 +3,8 @@
 Three suites: the sequency map against its brute-force oracle (plus the
 doubling recursion), circuit simulation against the dense sequency matrix,
 and quantum-vs-classical filtering agreement. Each returns a CheckResult
-instead of asserting, so callers choose between exit codes and test failures.
+instead of asserting, so callers choose between exit codes and test failures;
+an n_max below 1 is a SizingError, not a vacuous pass.
 
 The checks look the code under test up through its modules at call time, so
 the tests prove they can fail by patching a fault into that code (a broken
@@ -36,7 +37,7 @@ def check_sequency_map(n_max: int = 8) -> CheckResult:
         got = [transforms.sequency_of(s, 3) for s in range(8)]
         if got != _TABLE_N3:
             return CheckResult(name, False, f"n=3 map {got} != {_TABLE_N3}")
-    for n in range(1, n_max + 1):
+    for n in range(1, transforms.check_bits(n_max) + 1):
         for s in range(1 << n):
             brute = transforms.zero_crossings_bruteforce(s, n)
             if transforms.sequency_of(s, n) != brute:
@@ -51,7 +52,7 @@ def check_circuit_vs_matrix(n_max: int = 8) -> CheckResult:
     """Simulated transform circuit columns vs the dense sequency matrix."""
     name = "circuit-vs-matrix"
     tol = 1e-12
-    for n in range(1, n_max + 1):
+    for n in range(1, transforms.check_bits(n_max) + 1):
         mat = transforms.sequency_matrix(n)
         circuit = circuits.build_sequency_wht(n)
         for j in range(1 << n):

@@ -399,6 +399,76 @@ def test_circuit_json_fields():
     }
 
 
+_GOLDEN_JSON = """\
+{
+  "format": "walshdsp-circuit",
+  "version": 1,
+  "label": "golden",
+  "n_qubits": 3,
+  "gates": [
+    {
+      "kind": "H",
+      "qubit": 0
+    },
+    {
+      "kind": "X",
+      "qubit": 2
+    },
+    {
+      "kind": "CNOT",
+      "control": 0,
+      "target": 1
+    },
+    {
+      "kind": "SWAP",
+      "a": 1,
+      "b": 2
+    },
+    {
+      "kind": "MCX",
+      "controls": [
+        {
+          "qubit": 0,
+          "polarity": "open"
+        },
+        {
+          "qubit": 1,
+          "polarity": "closed"
+        }
+      ],
+      "target": 2
+    },
+    {
+      "kind": "MCX",
+      "controls": [],
+      "target": 1
+    }
+  ]
+}
+"""
+
+
+def test_circuit_json_golden_string():
+    # the string, not the parsed dict, so that key order is pinned too
+    gates = (sim.h(0), sim.x(2), sim.cnot(0, 1), sim.swap(1, 2),
+             sim.mcx([(0, sim.OPEN), (1, sim.CLOSED)], 2), sim.mcx([], 1))
+    circuit = qc.Circuit(3, gates, label="golden")
+    assert qc.circuit_to_json(circuit) == _GOLDEN_JSON
+    assert qc.circuit_from_json(_GOLDEN_JSON) == circuit
+
+
+def test_circuit_from_json_rejects_an_unknown_kind():
+    text = _GOLDEN_JSON.replace('"kind": "SWAP"', '"kind": "TOFFOLI"')
+    with pytest.raises(ValueError, match="unknown gate kind 'TOFFOLI'"):
+        qc.circuit_from_json(text)
+
+
+def test_gate_stats_counts_follow_gate_kinds():
+    stats = qc.gate_stats(qc.build_filter_circuit(4, FilterSpec.band_pass(3, 11)))
+    assert tuple(stats.as_dict()["counts"]) == sim.GATE_KINDS
+    assert tuple(qc.gate_stats(qc.Circuit(1, ())).counts) == sim.GATE_KINDS
+
+
 def test_circuit_json_stable_bytes():
     circuit = qc.build_sequency_wht(3)
     assert qc.circuit_to_json(circuit) == qc.circuit_to_json(qc.build_sequency_wht(3))

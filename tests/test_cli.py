@@ -164,6 +164,13 @@ def test_sequency_map_n3(capsys):
         assert lines == [f"{s},{transforms.sequency_of(s, n)}" for s in range(1 << n)]
 
 
+def test_sequency_map_above_its_cap_exits_3(capsys):
+    assert main(["sequency-map", "--n", "21"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sequency-map takes n of at most 20, got 21\n"
+
+
 def test_verify_exit_zero(capsys):
     assert main(["verify", "--n-max", "4"]) == 0
     out = capsys.readouterr().out
@@ -207,6 +214,22 @@ def test_gates_sweep_csv(tmp_path):
 
 
 # --- exit codes and argument parsing ---
+
+
+@pytest.mark.parametrize("argv", [
+    ["gates", "--kind", "uz", "--n", "0"],
+    ["gates", "--kind", "low", "--cutoff", "N/2", "--n", "0"],
+    ["gates", "--kind", "uz", "--sweep", "0:2", "--output", "F"],
+    ["sequency-map", "--n", "0"],
+    ["verify", "--n-max", "0"],
+], ids=["gates-n", "gates-filter-n", "gates-sweep", "sequency-map", "verify"])
+def test_bit_width_below_one_exits_3_with_the_one_message(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bit width must be at least 1 (2 samples), got 0\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_input_exits_3(tmp_path, capsys):

@@ -243,6 +243,37 @@ def test_filterspec_validation():
         flt.FilterSpec("notch", cutoff=2)
 
 
+@pytest.mark.parametrize("value", [4, 4.0, np.int64(4), np.float64(4.0)],
+                         ids=["int", "float", "np.int64", "np.float64"])
+def test_filterspec_stores_integral_values_as_int(value):
+    specs = [flt.FilterSpec.low_pass(value), flt.FilterSpec("low", cutoff=value),
+             flt.FilterSpec.high_pass(value), flt.FilterSpec.band_pass(value, 2 * value)]
+    for spec in specs:
+        fields = (spec.cutoff,) if spec.band is None else spec.band
+        assert all(type(v) is int for v in fields)
+    assert specs[1] == flt.FilterSpec.low_pass(4)
+    assert specs[1].describe() == "low c=4"
+    assert specs[3].band == (4, 8)
+    # both paths take the spec as given, the oracle without casting it
+    v = np.random.default_rng(4).standard_normal(16)
+    passed, _ = flt.filter_classical_oracle(v, specs[1])
+    assert_allclose(passed.values, flt.filter_quantum(v, specs[1]).pass_branch.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("value", [4.5, np.float64(4.5), float("nan"), float("inf"), "4"],
+                         ids=["float", "np.float64", "nan", "inf", "str"])
+@pytest.mark.parametrize("make", [
+    flt.FilterSpec.low_pass,
+    flt.FilterSpec.high_pass,
+    lambda v: flt.FilterSpec("low", cutoff=v),
+    lambda v: flt.FilterSpec.band_pass(v, 8),
+    lambda v: flt.FilterSpec.band_pass(0, v),
+], ids=["low_pass", "high_pass", "constructor", "band-low-edge", "band-high-edge"])
+def test_filterspec_rejects_non_integral_values(make, value):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make(value)
+
+
 def test_filterspec_intervals():
     spec = flt.FilterSpec.band_pass(4, 12)
     assert spec.pass_intervals(16) == ((4, 12),)

@@ -51,3 +51,19 @@ def test_injected_fault_is_detected(monkeypatch, check, inject):
 def test_path_equivalence_standalone():
     result = verification.check_path_equivalence(5)
     assert result.ok, result.detail
+
+
+_FLOOR = "bit width must be at least 1 (2 samples), got {}"
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+@pytest.mark.parametrize(
+    "check",
+    [verification.run_all, verification.check_sequency_map, verification.check_circuit_vs_matrix],
+    ids=["run_all", "map", "matrix"],
+)
+def test_checks_refuse_a_width_below_one(check, n_max):
+    # a range of widths that is empty would otherwise pass having checked nothing
+    with pytest.raises(transforms.SizingError) as err:
+        check(n_max)
+    assert str(err.value) == _FLOOR.format(n_max)
