@@ -29,8 +29,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from walshdsp.simulator import CLOSED, GATE_KINDS, OPEN, Gate, cnot, h, mcx, swap, x
-from walshdsp.transforms import check_bits
+from walshdsp.simulator import CLOSED, GATE_KINDS, GATE_OPERANDS, OPEN, Gate, check_register, cnot, h, mcx, swap, x
+from walshdsp.transforms import check_bits, check_int
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,7 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        for gate in self.gates:
-            if max(gate.qubits) >= self.n_qubits:
-                raise ValueError(
-                    f"gate {gate.kind} on {gate.qubits} exceeds {self.n_qubits} qubits"
-                )
+        check_register(self.gates, self.n_qubits)
 
 
 @dataclass(frozen=True)
@@ -222,32 +218,27 @@ def gate_stats(circuit: Circuit) -> GateStats:
     return GateStats(counts, tuple(sorted(arities)), depth, len(circuit.gates))
 
 
-# JSON field names per gate kind, in Gate.qubits order (an MCX's controls are one list)
-_FIELDS = {"H": ("qubit",), "X": ("qubit",), "CNOT": ("control", "target"),
-           "SWAP": ("a", "b"), "MCX": ("controls", "target")}
-
-
 def _gate_record(gate: Gate) -> dict:
     if gate.kind == "MCX":
         values = ([{"qubit": q, "polarity": p} for q, p in gate.controls], gate.target)
     else:
         values = gate.qubits
-    return {"kind": gate.kind, **dict(zip(_FIELDS[gate.kind], values))}
+    return {"kind": gate.kind, **dict(zip(GATE_OPERANDS[gate.kind], values))}
 
 
 def _gate_from_record(rec: dict) -> Gate:
-    kind = rec["kind"]
-    if kind not in _FIELDS:
-        raise ValueError(f"unknown gate kind {kind!r}")
-    values = [rec[name] for name in _FIELDS[kind]]
+    # an unknown kind has no fields here and gets Gate's own message
+    kind, polarities = rec["kind"], ()
+    values = [rec[name] for name in GATE_OPERANDS.get(kind, ())]
     if kind == "MCX":
         controls, target = values
-        return mcx([(c["qubit"], c["polarity"]) for c in controls], target)
-    return Gate(kind, tuple(values))
+        values = [c["qubit"] for c in controls] + [target]
+        polarities = tuple(c["polarity"] for c in controls)
+    return Gate(kind, tuple(check_int(q, "qubit index") for q in values), polarities)
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:
-    """Stable JSON-ready description; see the README for the field reference."""
+    """Stable JSON-ready description; gate fields are named by simulator.GATE_OPERANDS."""
     return {
         "format": "walshdsp-circuit",
         "version": 1,
@@ -258,10 +249,11 @@ def circuit_to_dict(circuit: Circuit) -> dict:
 
 
 def circuit_from_dict(data: dict) -> Circuit:
+    """Inverse of circuit_to_dict; qubit indices and n_qubits must be integral."""
     if data.get("format") != "walshdsp-circuit":
         raise ValueError("not a walshdsp circuit description")
     gates = tuple(_gate_from_record(rec) for rec in data["gates"])
-    return Circuit(int(data["n_qubits"]), gates, str(data.get("label", "")))
+    return Circuit(check_int(data["n_qubits"], "n_qubits"), gates, str(data.get("label", "")))
 
 
 def circuit_to_json(circuit: Circuit) -> str:

@@ -25,6 +25,7 @@ from walshdsp.transforms import (
     Coefficients,
     SEQUENCY,
     TIME,
+    check_int,
     peak_units,
     time_series,
     time_signal,
@@ -32,16 +33,6 @@ from walshdsp.transforms import (
 )
 
 KINDS = ("dc", "low", "high", "band")
-
-
-def _integral(value, what: str) -> int:
-    """value as an int if it is integral; ValueError otherwise."""
-    try:
-        if value == int(value):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,11 +59,11 @@ class FilterSpec:
         if self.kind in ("low", "high"):
             if self.cutoff is None or self.band is not None:
                 raise ValueError(f"{self.kind} takes a cutoff and no band")
-            object.__setattr__(self, "cutoff", _integral(self.cutoff, "cutoff"))
+            object.__setattr__(self, "cutoff", check_int(self.cutoff, "cutoff"))
         elif self.kind == "band":
             if self.band is None or self.cutoff is not None:
                 raise ValueError("band takes band edges and no cutoff")
-            lo, hi = _integral(self.band[0], "band edge"), _integral(self.band[1], "band edge")
+            lo, hi = check_int(self.band[0], "band edge"), check_int(self.band[1], "band edge")
             if not 0 <= lo < hi:
                 raise ValueError(f"band edges must satisfy 0 <= {lo} < {hi}")
             object.__setattr__(self, "band", (lo, hi))

@@ -31,6 +31,8 @@ import numpy as np
 from walshdsp.transforms import Coefficients, TIME, check_bits
 
 KINDS = ("sine", "triangular", "rectangular_pulse", "square")
+# rows per save_csv write: few writes, and the row strings stay small
+_CSV_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -104,14 +106,16 @@ def tone_composite(n: int) -> Coefficients:
 
 
 def save_csv(path, values, with_index: bool = False) -> None:
-    """Write one value per line; with_index=True prepends 'index,' per row."""
+    """Write one value per line; with_index=True prepends 'index,' per row.
+    A chunk of rows is one %-format, with the digits of f"{float(v):.17g}"."""
     vals = values.values if isinstance(values, Coefficients) else np.asarray(values)
+    row = "%d,%.17g\n" if with_index else "%.17g\n"
     with open(path, "w", encoding="ascii", newline="") as fh:
-        for k, v in enumerate(vals):
+        for start in range(0, len(vals), _CSV_CHUNK):
+            chunk = vals[start:start + _CSV_CHUNK]
             if with_index:
-                fh.write(f"{k},{float(v):.17g}\n")
-            else:
-                fh.write(f"{float(v):.17g}\n")
+                chunk = np.column_stack([np.arange(start, start + len(chunk)), chunk])
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def load_csv(path) -> Coefficients:

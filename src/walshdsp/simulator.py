@@ -40,7 +40,10 @@ from walshdsp.transforms import _fwht_inplace, gf2_index, peak_units, time_signa
 OPEN = "open"
 CLOSED = "closed"
 
-GATE_KINDS = ("H", "X", "CNOT", "SWAP", "MCX")
+# each kind's operand names, in Gate.qubits order; the circuit JSON field names
+GATE_OPERANDS = {"H": ("qubit",), "X": ("qubit",), "CNOT": ("control", "target"),
+                 "SWAP": ("a", "b"), "MCX": ("controls", "target")}
+GATE_KINDS = tuple(GATE_OPERANDS)
 _PERMUTATION_KINDS = ("X", "CNOT", "SWAP")
 _NORM_TOL = 1e-10
 _RSQRT2 = 1.0 / np.sqrt(2.0)
@@ -54,9 +57,9 @@ class NormalizationError(ValueError):
 class Gate:
     """One gate: a kind, the qubits it touches, and control polarities.
 
-    qubits layout per kind: H/X -> (qubit,); CNOT -> (control, target);
-    SWAP -> (a, b); MCX -> (*controls, target) with polarities aligned to the
-    controls. Use the factory functions below rather than the constructor.
+    qubits holds the operands GATE_OPERANDS names for the kind, in order; an
+    MCX's controls are spread out before its target, with one polarity each.
+    Use the factory functions below rather than the constructor.
     """
 
     kind: str
@@ -64,25 +67,25 @@ class Gate:
     polarities: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        arity = {"H": 1, "X": 1, "CNOT": 2, "SWAP": 2}.get(self.kind)
-        if arity is not None and len(self.qubits) != arity:
-            raise ValueError(f"{self.kind} takes {arity} qubit(s), got {self.qubits}")
-        if self.kind == "MCX":
-            if len(self.qubits) < 1:
+        kind, qubits, polarities = self.kind, self.qubits, self.polarities
+        if kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        if kind == "MCX":
+            if not qubits:
                 raise ValueError("MCX needs a target qubit")
-            if len(self.polarities) != len(self.qubits) - 1:
+            if len(polarities) != len(qubits) - 1:
                 raise ValueError("one polarity per control is required")
-            bad = [p for p in self.polarities if p not in (OPEN, CLOSED)]
-            if bad:
-                raise ValueError(f"unknown control polarity {bad[0]!r}")
-        elif self.polarities:
-            raise ValueError(f"{self.kind} takes no polarities")
-        if any(q < 0 for q in self.qubits):
-            raise ValueError(f"negative qubit index in {self.qubits}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"repeated qubit index in {self.qubits}")
+            if polarities.count(OPEN) + polarities.count(CLOSED) != len(polarities):
+                bad = next(p for p in polarities if p not in (OPEN, CLOSED))
+                raise ValueError(f"unknown control polarity {bad!r}")
+        elif len(qubits) != len(GATE_OPERANDS[kind]):
+            raise ValueError(f"{kind} takes {len(GATE_OPERANDS[kind])} qubit(s), got {qubits}")
+        elif polarities:
+            raise ValueError(f"{kind} takes no polarities")
+        if min(qubits) < 0:
+            raise ValueError(f"negative qubit index in {qubits}")
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"repeated qubit index in {qubits}")
 
     @property
     def target(self) -> int:
@@ -117,7 +120,7 @@ def swap(a: int, b: int) -> Gate:
 
 def mcx(controls, target: int) -> Gate:
     """Multi-controlled X from (qubit, polarity) pairs onto a target qubit."""
-    pairs = tuple((int(q), p) for q, p in controls)
+    pairs = tuple(controls)
     return Gate("MCX", tuple(q for q, _ in pairs) + (target,), tuple(p for _, p in pairs))
 
 
@@ -154,10 +157,11 @@ def basis_state(n_qubits: int, index: int = 0) -> Statevector:
     return Statevector(n_qubits, amps)
 
 
-def _check_gate_fits(gate: Gate, n_qubits: int) -> None:
-    high = max(gate.qubits)
-    if high >= n_qubits:
-        raise ValueError(f"gate {gate.kind} touches qubit {high}, state has {n_qubits}")
+def check_register(gates, n_qubits: int) -> None:
+    """ValueError unless every gate's qubits lie below the register width."""
+    for gate in gates:
+        if max(gate.qubits) >= n_qubits:
+            raise ValueError(f"gate {gate.kind} on {gate.qubits} exceeds {n_qubits} qubits")
 
 
 def _apply_inplace(amps: np.ndarray, gate: Gate) -> None:
@@ -187,7 +191,7 @@ def _apply_inplace(amps: np.ndarray, gate: Gate) -> None:
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     """Apply one gate, returning a new state; the input is untouched."""
-    _check_gate_fits(gate, state.n_qubits)
+    check_register((gate,), state.n_qubits)
     amps = state.amplitudes.copy()
     _apply_inplace(amps, gate)
     return Statevector(state.n_qubits, amps)

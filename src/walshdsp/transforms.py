@@ -13,10 +13,11 @@ Conventions used throughout the package:
 
 The package's input rules live here. A signal holds 2**n samples, n >= 1:
 check_bits is the one floor on n and bit_width the one length check, so a
-1-sample signal and n < 1 raise the same SizingError. Sums and norms are
-taken in peak units (peak_units, an exact power-of-two rescaling that rejects
-nan and inf), so finite samples near the float64 limit give finite
-coefficients; a coefficient that float64 cannot hold raises ValueError.
+1-sample signal and n < 1 raise the same SizingError; check_int is the one
+integer rule. Sums and norms are taken in peak units (peak_units, an exact
+power-of-two rescaling that rejects nan and inf), so finite samples near the
+float64 limit give finite coefficients; a coefficient that float64 cannot
+hold raises ValueError.
 
 The sequency map (prefix XORs of the index bits, in reversed bit order) is
 GF(2)-linear; gf2_index builds it and the simulator's permutation layers.
@@ -84,6 +85,16 @@ def check_bits(n: int) -> int:
     if n < 1:
         raise SizingError(f"bit width must be at least 1 (2 samples), got {n}")
     return n
+
+
+def check_int(value, what: str) -> int:
+    """value as an int if it is integral (4, 4.0, numpy.int64(4)); ValueError otherwise."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def bit_width(size: int) -> int:

@@ -480,5 +480,47 @@ def test_circuit_from_dict_rejects_foreign_format():
 
 
 def test_circuit_validates_gate_range():
-    with pytest.raises(ValueError):
+    # one rule, one message, whether the gate is built into a circuit or applied
+    with pytest.raises(ValueError) as built:
         qc.Circuit(2, (sim.h(2),))
+    with pytest.raises(ValueError) as applied:
+        sim.apply_gate(sim.basis_state(2), sim.h(2))
+    assert str(built.value) == str(applied.value) == "gate H on (2,) exceeds 2 qubits"
+
+
+def test_gate_kinds_are_the_operand_table_keys():
+    assert sim.GATE_KINDS == tuple(sim.GATE_OPERANDS)
+
+
+def _one_gate_dict(gate_record, n_qubits=3):
+    return {"format": "walshdsp-circuit", "version": 1, "label": "",
+            "n_qubits": n_qubits, "gates": [gate_record]}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _one_gate_dict({"kind": "MCX", "controls": [{"qubit": 0.5, "polarity": "open"}], "target": 2}),
+        _one_gate_dict({"kind": "MCX", "controls": [], "target": 1.5}),
+        _one_gate_dict({"kind": "H", "qubit": 1.5}),
+        _one_gate_dict({"kind": "H", "qubit": "1"}),
+        _one_gate_dict({"kind": "CNOT", "control": 0, "target": float("nan")}),
+        _one_gate_dict({"kind": "H", "qubit": 1}, n_qubits=2.5),
+        _one_gate_dict({"kind": "H", "qubit": 1}, n_qubits="3"),
+    ],
+    ids=["mcx-control-0.5", "mcx-target-1.5", "h-1.5", "h-str", "cnot-nan", "n_qubits-2.5", "n_qubits-str"],
+)
+def test_circuit_from_dict_rejects_non_integral_indices(data):
+    # a cast would silently move the gate to another qubit or shrink the register
+    with pytest.raises(ValueError, match="must be an integer"):
+        qc.circuit_from_dict(data)
+
+
+def test_circuit_from_dict_reads_integral_floats_as_int():
+    data = _one_gate_dict({"kind": "MCX", "controls": [{"qubit": 1.0, "polarity": "closed"}],
+                           "target": 2.0}, n_qubits=3.0)
+    circuit = qc.circuit_from_dict(data)
+    assert circuit == qc.Circuit(3, (sim.mcx([(1, sim.CLOSED)], 2),))
+    assert all(type(q) is int for q in circuit.gates[0].qubits)
+    text = qc.circuit_to_json(circuit)
+    assert '"qubit": 1,' in text and '"target": 2' in text and '"n_qubits": 3,' in text

@@ -139,6 +139,37 @@ def test_csv_round_trip_is_bit_exact(tmp_path, values, with_index):
     assert np.array_equal(back.view(np.uint64), v.view(np.uint64))
 
 
+def _reference_csv(values, with_index):
+    # one f-string per row, the format save_csv writes in chunks
+    rows = [f"{float(v):.17g}\n" for v in values]
+    if with_index:
+        rows = [f"{k},{row}" for k, row in enumerate(rows)]
+    return "".join(rows).encode("ascii")
+
+
+_CHUNK_LENGTHS = [0, 1, sg._CSV_CHUNK - 1, sg._CSV_CHUNK, sg._CSV_CHUNK + 1]
+
+
+def _with_chunk_lengths(test):
+    # every chunk-boundary length, with and without the index column, on the extremes
+    for length in _CHUNK_LENGTHS:
+        for with_index in (False, True):
+            test = example(_EXTREMES + [float("nan"), float("inf"), -float("inf"), 1e22], length, with_index)(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.floats() | st.sampled_from(_EXTREMES), min_size=1, max_size=30),
+       st.sampled_from(_CHUNK_LENGTHS) | st.integers(0, 3 * sg._CSV_CHUNK),
+       st.booleans())
+@_with_chunk_lengths
+def test_csv_bytes_match_a_per_row_formatter(tmp_path, pattern, length, with_index):
+    v = np.resize(np.array(pattern, dtype=np.float64), length)
+    path = tmp_path / "v.csv"
+    sg.save_csv(path, v, with_index=with_index)
+    assert path.read_bytes() == _reference_csv(v, with_index)
+
+
 def test_csv_header_skipped(tmp_path):
     path = tmp_path / "v.csv"
     path.write_text("sample,value\n0,1.5\n1,2.5\n")

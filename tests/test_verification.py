@@ -1,5 +1,7 @@
 """The self-check suites must pass on the real code and fail on broken code."""
 
+import time
+
 import pytest
 
 from walshdsp import circuits, transforms, verification
@@ -67,3 +69,13 @@ def test_checks_refuse_a_width_below_one(check, n_max):
     with pytest.raises(transforms.SizingError) as err:
         check(n_max)
     assert str(err.value) == _FLOOR.format(n_max)
+
+
+def test_run_all_caps_each_suite():
+    # the map suite's cost grows fourfold per bit, so a large n_max is capped
+    start = time.perf_counter()
+    results = {r.name: r for r in verification.run_all(40)}
+    assert time.perf_counter() - start < 60.0
+    assert all(r.ok for r in results.values())
+    assert results["sequency-map"].detail.endswith("for all n <= 12")
+    assert results["circuit-vs-matrix"].detail.endswith("for n <= 8")
