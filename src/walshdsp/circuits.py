@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import index
 
 from walshdsp.simulator import CLOSED, GATE_KINDS, GATE_OPERANDS, OPEN, Gate, check_register, cnot, h, mcx, swap, x
 from walshdsp.transforms import check_bits, check_int
@@ -64,6 +65,13 @@ class GateStats:
         }
 
 
+def _uz_gates(n: int) -> list[Gate]:
+    """The uz gates on qubits 0..n-1: n-1 CNOTs, then floor(n/2) SWAPs."""
+    gates = [cnot(k - 1, k) for k in range(1, check_bits(n))]
+    gates += [swap(j, n - 1 - j) for j in range(n // 2)]
+    return gates
+
+
 def build_uz(n: int) -> Circuit:
     """Basis permutation circuit sending |s> to |sequency_of(s, n)>.
 
@@ -71,21 +79,18 @@ def build_uz(n: int) -> Circuit:
     reverse the qubit order so the prefix of the low bits lands in the high
     position. n=1 needs no gates.
     """
-    gates = [cnot(k - 1, k) for k in range(1, check_bits(n))]
-    gates += [swap(j, n - 1 - j) for j in range(n // 2)]
-    return Circuit(n, tuple(gates), f"uz(n={n})")
+    return Circuit(n, tuple(_uz_gates(n)), f"uz(n={n})")
 
 
 def build_uz_inverse(n: int) -> Circuit:
     """Reversed gate list of build_uz; every gate is its own inverse."""
-    gates = tuple(reversed(build_uz(n).gates))
-    return Circuit(n, gates, f"uz-inverse(n={n})")
+    return Circuit(n, tuple(reversed(_uz_gates(n))), f"uz-inverse(n={n})")
 
 
 def build_sequency_wht(n: int) -> Circuit:
     """H on every qubit, then the sequency reordering."""
-    gates = tuple(h(q) for q in range(n)) + build_uz(n).gates
-    return Circuit(n, gates, f"sequency-wht(n={n})")
+    gates = [h(q) for q in range(n)] + _uz_gates(n)
+    return Circuit(n, tuple(gates), f"sequency-wht(n={n})")
 
 
 def _normalize_intervals(intervals, size: int) -> list[tuple[int, int]]:
@@ -174,9 +179,9 @@ def build_filter_circuit(n: int, spec, *, swapped: bool = False) -> Circuit:
         # index 0 is a fixed point of the reordering, so the permutation
         # stages cancel and the cheap no-X form needs just one selector gate
         fire_pass = False
-        uz: tuple[Gate, ...] = ()
+        uz: list[Gate] = []
     else:
-        uz = build_uz(n).gates
+        uz = _uz_gates(n)
         if spec.kind == "band":
             fire_pass = len(pass_blocks) < len(stop_blocks)
         else:
@@ -219,10 +224,11 @@ def gate_stats(circuit: Circuit) -> GateStats:
 
 
 def _gate_record(gate: Gate) -> dict:
+    # operator.index writes a numpy integer index as a plain int
     if gate.kind == "MCX":
-        values = ([{"qubit": q, "polarity": p} for q, p in gate.controls], gate.target)
+        values = ([{"qubit": index(q), "polarity": p} for q, p in gate.controls], index(gate.target))
     else:
-        values = gate.qubits
+        values = [index(q) for q in gate.qubits]
     return {"kind": gate.kind, **dict(zip(GATE_OPERANDS[gate.kind], values))}
 
 
@@ -243,7 +249,7 @@ def circuit_to_dict(circuit: Circuit) -> dict:
         "format": "walshdsp-circuit",
         "version": 1,
         "label": circuit.label,
-        "n_qubits": circuit.n_qubits,
+        "n_qubits": index(circuit.n_qubits),
         "gates": [_gate_record(g) for g in circuit.gates],
     }
 

@@ -20,16 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from walshdsp import circuits, simulator
+from walshdsp import circuits, simulator, transforms
 from walshdsp.transforms import (
     Coefficients,
-    SEQUENCY,
     TIME,
     check_int,
+    fwht_natural,
     peak_units,
     time_series,
     time_signal,
-    wht_sequency,
 )
 
 KINDS = ("dc", "low", "high", "band")
@@ -173,17 +172,27 @@ def filter_quantum(signal, spec: FilterSpec, *, swapped: bool = False) -> Filter
 
 
 def filter_classical_oracle(signal, spec: FilterSpec) -> tuple[Coefficients, Coefficients]:
-    """Dense-transform reference: mask in the sequency domain, transform back."""
+    """Dense-transform reference: mask in the sequency domain, transform back.
+
+    The sequency transform is self-inverse: one sequency map serves the
+    forward transform and both transforms back, each computed as
+    wht_sequency computes it.
+    """
     signal, n = time_signal(signal)
     size = 1 << n
     spec.validate_for(size)
-    spectrum = wht_sequency(signal)
+    # looked up on the module at call time, like the calls into the other
+    # layers, so that a tracer patching the module sees the map being built
+    _, natural_of = transforms.natural_to_sequency_perm(n)
+
+    def sequency_wht(values):
+        return fwht_natural(values).values[natural_of]
+
+    spectrum = sequency_wht(signal.values)
     mask = _pass_mask(spec, size)
-    pass_hat = np.where(mask, spectrum.values, 0.0)
-    stop_hat = np.where(mask, 0.0, spectrum.values)
-    pass_branch = wht_sequency(Coefficients(pass_hat, SEQUENCY))
-    stop_branch = wht_sequency(Coefficients(stop_hat, SEQUENCY))
-    return pass_branch, stop_branch
+    pass_branch = sequency_wht(np.where(mask, spectrum, 0.0))
+    stop_branch = sequency_wht(np.where(mask, 0.0, spectrum))
+    return Coefficients(pass_branch, TIME), Coefficients(stop_branch, TIME)
 
 
 def dc_remove_oracle(signal) -> Coefficients:

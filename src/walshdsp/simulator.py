@@ -16,8 +16,10 @@ stays real through every gate, a complex state is stored as complex128.
 run_circuit compiles the gate list into layers and makes one pass per layer
 instead of one per gate:
 
-* a run of H gates on distinct qubits is one butterfly stage per qubit (the
-  kernel of the classical fast transform), scaled once by 2**(-k/2);
+* a run of H gates on distinct qubits is a Kronecker product of unitary
+  Hadamard blocks (Good's interaction algorithm): its sorted qubits are cut
+  into blocks of at most 5 consecutive qubits, and each block is one matmul
+  with its dense 2**g x 2**g matrix, written into a spare buffer;
 * a run of two or more X/CNOT/SWAP gates is one GF(2)-affine map of the basis
   indices, applied as one gather through a transforms.gf2_index array;
 * an MCX, or a lone X/CNOT/SWAP, exchanges two strided sub-views of the
@@ -25,7 +27,7 @@ instead of one per gate:
 
 The layers come from the gate list alone. apply_gate keeps the per-gate
 index-array kernel as the slow reference the compiled path is tested
-against.
+against; neither shares code with the classical transforms.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from walshdsp.transforms import _fwht_inplace, gf2_index, peak_units, time_signal
+from walshdsp.transforms import gf2_index, peak_units, time_signal
 
 OPEN = "open"
 CLOSED = "closed"
@@ -47,6 +49,23 @@ GATE_KINDS = tuple(GATE_OPERANDS)
 _PERMUTATION_KINDS = ("X", "CNOT", "SWAP")
 _NORM_TOL = 1e-10
 _RSQRT2 = 1.0 / np.sqrt(2.0)
+# qubits per Hadamard block of an H layer
+_BLOCK_QUBITS = 5
+# columns per BLAS product: a 32 x 32 x 256 product is small enough for
+# OpenBLAS to run on one thread; larger ones, split over two threads, stalled
+# some processes by up to 130 ms per H layer at n = 14..17 on a 2-core VM
+_BLOCK_COLUMNS = 256
+
+
+def _hadamard(g: int) -> np.ndarray:
+    """Unitary 2**g x 2**g Hadamard matrix, entry (k, j) = (-1)**(k.j) / 2**(g/2)."""
+    m = np.ones((1, 1))
+    for _ in range(g):
+        m = np.block([[m, m], [m, -m]])
+    return m * 2.0 ** (-g / 2)
+
+
+_HADAMARD_BLOCKS = tuple(_hadamard(g) for g in range(_BLOCK_QUBITS + 1))
 
 
 class NormalizationError(ValueError):
@@ -201,8 +220,8 @@ def _runs(gates):
     """Split a gate list into maximal layers, in order.
 
     A layer is a run of H gates on distinct qubits, a run of X/CNOT/SWAP
-    gates, or a single MCX. Distinct qubits bound the growth of the unscaled
-    butterflies to 2**(n/2) before the run is scaled.
+    gates, or a single MCX. Distinct qubits make an H run one Kronecker
+    product of Hadamard blocks.
     """
     run: list[Gate] = []
     for gate in gates:
@@ -241,6 +260,34 @@ def _source_index(run: list[Gate], n_qubits: int) -> np.ndarray:
     return gf2_index(columns, offset)
 
 
+def _hadamard_layer(amps: np.ndarray, spare: np.ndarray, qubits) -> tuple[np.ndarray, np.ndarray]:
+    """H on distinct qubits, one matmul per block; returns the swapped pair.
+
+    A block of g consecutive qubits from qubit lo multiplies the middle axis
+    of the (outer, 2**g, 2**lo) view by its matrix (from the right on
+    (rows, 2**g) when lo = 0), in BLAS products of at most _BLOCK_COLUMNS
+    columns (rows), reading one buffer and writing the other.
+    """
+    blocks: list[list[int]] = []  # [lowest qubit, width]
+    for q in sorted(qubits):
+        if blocks and blocks[-1][0] + blocks[-1][1] == q and blocks[-1][1] < _BLOCK_QUBITS:
+            blocks[-1][1] += 1
+        else:
+            blocks.append([q, 1])
+    for lo, g in blocks:
+        matrix = _HADAMARD_BLOCKS[g]
+        if lo == 0:
+            shape = (-1, min(amps.size >> g, _BLOCK_COLUMNS), 1 << g)
+            np.matmul(amps.reshape(shape), matrix, out=spare.reshape(shape))
+        else:
+            columns = min(1 << lo, _BLOCK_COLUMNS)
+            shape = (-1, 1 << g, (1 << lo) // columns, columns)
+            np.matmul(matrix, amps.reshape(shape).transpose(0, 2, 1, 3),
+                      out=spare.reshape(shape).transpose(0, 2, 1, 3))
+        amps, spare = spare, amps
+    return amps, spare
+
+
 def _swap_subviews(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
     """Apply one X, CNOT, SWAP or MCX by exchanging two sub-views in place."""
     first = [slice(None)] * n_qubits
@@ -270,16 +317,13 @@ def run_circuit(state: Statevector, circuit) -> Statevector:
     if circuit.n_qubits != n:
         raise ValueError(f"circuit on {circuit.n_qubits} qubits, state on {n}")
     amps = state.amplitudes.copy()
-    spare = None
+    spare = np.empty_like(amps)
     for run in _runs(circuit.gates):
         if run[0].kind == "H":
-            _fwht_inplace(amps, [g.qubits[0] for g in run])
-            amps *= 2.0 ** (-len(run) / 2)
+            amps, spare = _hadamard_layer(amps, spare, [g.qubits[0] for g in run])
         elif len(run) == 1:
             _swap_subviews(amps, run[0], n)
         else:
-            if spare is None:
-                spare = np.empty_like(amps)
             np.take(amps, _source_index(run, n), out=spare)
             amps, spare = spare, amps
     return Statevector(n, amps)

@@ -378,6 +378,19 @@ def test_circuit_json_round_trip():
     assert back.gates == circuit.gates
 
 
+def test_circuit_json_writes_numpy_integer_indices_as_int():
+    plain = qc.Circuit(3, (sim.h(0), sim.cnot(0, 1), sim.swap(1, 2),
+                           sim.mcx([(0, sim.OPEN), (1, sim.CLOSED)], 2)))
+    i64, i32, u8 = np.int64, np.int32, np.uint8
+    numpy_built = qc.Circuit(i64(3), (sim.h(i64(0)), sim.cnot(i32(0), u8(1)), sim.swap(u8(1), i64(2)),
+                                      sim.mcx([(i64(0), sim.OPEN), (i32(1), sim.CLOSED)], u8(2))))
+    text = qc.circuit_to_json(numpy_built)
+    assert text == qc.circuit_to_json(plain)
+    back = qc.circuit_from_json(text)
+    assert back.gates == plain.gates
+    assert qc.circuit_to_json(back) == text
+
+
 def test_circuit_json_fields():
     circuit = qc.Circuit(
         3, (sim.h(0), sim.x(2), sim.cnot(0, 1), sim.swap(1, 2), sim.mcx([(0, sim.OPEN)], 2)),

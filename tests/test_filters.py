@@ -216,6 +216,55 @@ def test_quantum_matches_oracle_at_n14_both_conventions(spec):
         assert np.linalg.norm(result.stop_branch.values - oracle_stop.values) <= tol
 
 
+def specs_for(size: int) -> list[flt.FilterSpec]:
+    return [
+        flt.FilterSpec.low_pass(max(1, size // 4)),
+        flt.FilterSpec.high_pass(3 * size // 8 or 1),
+        flt.FilterSpec.band_pass(size // 8 + 1, 5 * size // 8 - 1) if size >= 8
+        else flt.FilterSpec.band_pass(0, 1),
+        flt.FilterSpec.dc(),
+    ]
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_quantum_matches_oracle_where_the_last_h_block_is_short(n):
+    # 17 and 18 data qubits cut into H blocks of 5, 5, 5 and then 2 or 3
+    signal = np.random.default_rng(n).standard_normal(1 << n)
+    tol = 1e-10 * np.linalg.norm(signal)
+    for spec in specs_for(1 << n):
+        oracle_pass, oracle_stop = flt.filter_classical_oracle(signal, spec)
+        for swapped in (False, True):
+            result = flt.filter_quantum(signal, spec, swapped=swapped)
+            assert np.linalg.norm(result.pass_branch.values - oracle_pass.values) <= tol
+            assert np.linalg.norm(result.stop_branch.values - oracle_stop.values) <= tol
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_oracle_keeps_the_bits_of_three_sequency_transforms(n):
+    signal = np.random.default_rng(100 + n).standard_normal(1 << n)
+    spectrum = tr.wht_sequency(signal).values
+    for spec in specs_for(1 << n):
+        mask = flt._pass_mask(spec, 1 << n)
+        expected = [tr.wht_sequency(tr.Coefficients(np.where(keep, spectrum, 0.0), tr.SEQUENCY))
+                    for keep in (mask, ~mask)]
+        for got, want in zip(flt.filter_classical_oracle(signal, spec), expected):
+            assert got.order_tag == want.order_tag == tr.TIME
+            assert np.array_equal(got.values, want.values)
+
+
+def test_quantum_path_does_not_run_the_classical_butterflies(monkeypatch):
+    def refuse(a, bits=None):
+        raise AssertionError("radix-2 kernel called")
+
+    # swapping the code object reaches every binding, one imported by name too
+    monkeypatch.setattr(tr._fwht_inplace, "__code__", refuse.__code__)
+    signal = RNG.standard_normal(64)
+    result = flt.filter_quantum(signal, flt.FilterSpec.band_pass(5, 40))
+    assert_allclose(result.pass_branch.values + result.stop_branch.values, signal, atol=1e-12)
+    with pytest.raises(AssertionError, match="radix-2"):
+        tr.fwht_natural(signal)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 32))
 def test_complementarity_over_all_cutoffs(cutoff):

@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -242,6 +242,52 @@ def test_run_circuit_matches_gate_fold_and_matrix_product(circuit, complex_state
     assert compiled.amplitudes.dtype == state.amplitudes.dtype
     assert_allclose(compiled.amplitudes, folded.amplitudes, atol=1e-12)
     assert_allclose(compiled.amplitudes, unitary @ state.amplitudes, atol=1e-12)
+
+
+@st.composite
+def h_runs(draw):
+    """One H run on n <= 12 qubits, its qubits in drawn order.
+
+    Half the draws are a contiguous range (one qubit up to all n, so past the
+    5-qubit block width), half any non-empty subset, gaps included.
+    """
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, n - 1))
+        qubits = list(range(lo, draw(st.integers(lo + 1, n))))
+    else:
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    return Circuit(n, tuple(sim.h(q) for q in draw(st.permutations(qubits))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(h_runs(), st.booleans(), st.integers(0, 2**32 - 1))
+@example(Circuit(12, tuple(sim.h(q) for q in range(12))), False, 0)
+@example(Circuit(12, tuple(sim.h(q) for q in range(1, 12, 2))), True, 1)
+@example(Circuit(6, (sim.h(5),)), True, 2)
+def test_h_run_blocks_match_gate_fold(circuit, complex_state, seed):
+    # run_circuit applies an H run as dense Hadamard blocks of up to 5
+    # qubits; apply_gate folds one radix-2 butterfly per gate
+    n = circuit.n_qubits
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(1 << n)
+    if complex_state:
+        amps = amps + 1j * rng.standard_normal(1 << n)
+    state = sim.Statevector(n, amps / np.linalg.norm(amps))
+
+    compiled = sim.run_circuit(state, circuit).amplitudes
+    folded = state
+    for gate in circuit.gates:
+        folded = sim.apply_gate(folded, gate)
+    reference = folded.amplitudes
+    tol = 4 * n * np.finfo(np.float64).eps * np.max(np.abs(reference))
+    assert compiled.dtype == state.amplitudes.dtype
+    assert np.max(np.abs(compiled - reference)) <= tol
+    if n <= 6:
+        unitary = np.eye(1 << n)
+        for gate in circuit.gates:
+            unitary = gate_matrix_oracle(gate, n) @ unitary
+        assert np.max(np.abs(compiled - unitary @ state.amplitudes)) <= tol
 
 
 @pytest.mark.parametrize("n", range(2, 13))
