@@ -161,9 +161,12 @@ def filter_quantum(signal, spec: FilterSpec, *, swapped: bool = False) -> Filter
     pass_outcome = 1 if swapped else 0
     pass_amps, p_pass = simulator.project_ancilla(final, n, pass_outcome)
     stop_amps, p_stop = simulator.project_ancilla(final, n, 1 - pass_outcome)
+    # the branches are fresh copies, so they can take the units in place
+    pass_amps *= scale
+    stop_amps *= scale
     return FilterResult(
-        Coefficients(pass_amps * scale, TIME),
-        Coefficients(stop_amps * scale, TIME),
+        Coefficients(pass_amps, TIME),
+        Coefficients(stop_amps, TIME),
         p_pass,
         p_stop,
         scale,

@@ -13,17 +13,26 @@ five kinds are real involutions, which the tests lean on heavily.
 Amplitudes keep the kind of the input: a real state is stored as float64 and
 stays real through every gate, a complex state is stored as complex128.
 
-run_circuit compiles the gate list into layers and makes one pass per layer
-instead of one per gate:
+run_circuit compiles the gate list into layers and moves the amplitudes only
+where it must:
 
 * a run of H gates on distinct qubits is a Kronecker product of unitary
   Hadamard blocks (Good's interaction algorithm): its sorted qubits are cut
   into blocks of at most 5 consecutive qubits, and each block is one matmul
   with its dense 2**g x 2**g matrix, written into a spare buffer;
-* a run of two or more X/CNOT/SWAP gates is one GF(2)-affine map of the basis
-  indices, applied as one gather through a transforms.gf2_index array;
-* an MCX, or a lone X/CNOT/SWAP, exchanges two strided sub-views of the
-  amplitudes reshaped to one axis per qubit, so no index array is built.
+* X/CNOT/SWAP gates are a GF(2)-affine map of the basis indices. They are
+  not applied but composed into a pending map, which relabels the index
+  bits (Haener & Steiger, SC17). The map is materialised, as one gather
+  through a transforms.gf2_index array, only before an H run, before an MCX
+  run it moves the target of, and at the end, and not at all when it has
+  come back to the identity, as uz followed by its inverse does;
+* a run of MCX gates on one target whose qubit the pending map leaves in
+  place is one masked half-swap: each gate toggles the sub-cube of a table
+  over the other qubits where its controls hold, and the table is read once
+  through the pending map's inverse;
+* with nothing pending, an MCX, or a lone X/CNOT/SWAP, exchanges two
+  strided sub-views of the amplitudes reshaped to one axis per qubit, so no
+  index array is built.
 
 The layers come from the gate list alone. apply_gate keeps the per-gate
 index-array kernel as the slow reference the compiled path is tested
@@ -220,15 +229,19 @@ def _runs(gates):
     """Split a gate list into maximal layers, in order.
 
     A layer is a run of H gates on distinct qubits, a run of X/CNOT/SWAP
-    gates, or a single MCX. Distinct qubits make an H run one Kronecker
-    product of Hadamard blocks.
+    gates, or a run of MCX gates on one target. Distinct qubits make an H
+    run one Kronecker product of Hadamard blocks; no gate of an MCX run
+    controls on the shared target, so the run's gates commute and XOR.
     """
     run: list[Gate] = []
     for gate in gates:
-        if run and run[0].kind == "H":
+        kind = run[0].kind if run else None
+        if kind == "H":
             joins = gate.kind == "H" and all(g.qubits != gate.qubits for g in run)
+        elif kind == "MCX":
+            joins = gate.kind == "MCX" and gate.qubits[-1] == run[0].qubits[-1]
         else:
-            joins = bool(run) and run[0].kind in _PERMUTATION_KINDS and gate.kind in _PERMUTATION_KINDS
+            joins = kind in _PERMUTATION_KINDS and gate.kind in _PERMUTATION_KINDS
         if not joins and run:
             yield run
             run = []
@@ -237,27 +250,84 @@ def _runs(gates):
         yield run
 
 
-def _source_index(run: list[Gate], n_qubits: int) -> np.ndarray:
-    """Gather index of a run of X/CNOT/SWAP gates: out[j] = in[source[j]].
+class _PendingMap:
+    """X/CNOT/SWAP gates composed but not yet applied to the amplitudes.
 
-    Every gate is an affine involution of the index bits, so the source map
-    j -> g1(g2(...gk(j))) is affine over GF(2): source(j) = A j ^ c. It is
-    held as its action on index 0 (c) and on the unit indices (the columns
-    of A), which composing one more gate on the right updates in O(1), and
-    materialised by transforms.gf2_index, like the classical sequency map.
+    Every such gate is an affine involution of the index bits, so the run
+    so far is affine over GF(2). The amplitude it would put at index j still
+    sits at source(j) = A j ^ offset; columns[b] = A e_b, and composing one
+    more gate on the right is O(1). The inverse, the index forward(i) =
+    B i ^ image that amplitude i would move to, is held by the rows of B =
+    A^-1: bit q of B i is the parity of rows[q] & i, and composing a gate on
+    the left is O(1) too.
     """
-    offset = 0
-    columns = [1 << b for b in range(n_qubits)]
-    for gate in run:
+
+    def __init__(self, n_qubits: int):
+        self.columns = [1 << b for b in range(n_qubits)]
+        self.rows = list(self.columns)
+        self.offset = 0
+        self.image = 0
+
+    def is_identity(self) -> bool:
+        # A = I makes B = I, so the rows need no check
+        return self.offset == 0 and self.columns == [1 << b for b in range(len(self.columns))]
+
+    def compose(self, gate: Gate) -> None:
         if gate.kind == "X":
-            offset ^= columns[gate.qubits[0]]
+            q = gate.qubits[0]
+            self.offset ^= self.columns[q]
+            self.image ^= 1 << q
         elif gate.kind == "CNOT":
             control, target = gate.qubits
-            columns[control] ^= columns[target]
+            self.columns[control] ^= self.columns[target]
+            self.rows[target] ^= self.rows[control]
+            self.image ^= ((self.image >> control) & 1) << target
         else:
             a, b = gate.qubits
-            columns[a], columns[b] = columns[b], columns[a]
-    return gf2_index(columns, offset)
+            self.columns[a], self.columns[b] = self.columns[b], self.columns[a]
+            self.rows[a], self.rows[b] = self.rows[b], self.rows[a]
+            if ((self.image >> a) ^ (self.image >> b)) & 1:
+                self.image ^= (1 << a) | (1 << b)
+
+    def source_index(self) -> np.ndarray:
+        """Gather index of the map: out[j] = in[source[j]]."""
+        return gf2_index(self.columns, self.offset)
+
+    def flush(self, amps: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Apply the map by one gather into spare, unless it is the identity;
+        returns the swapped pair and leaves the map empty."""
+        if self.is_identity():
+            return amps, spare
+        np.take(amps, self.source_index(), out=spare)
+        self.__init__(len(self.rows))
+        return spare, amps
+
+    def fire_mask(self, run: list[Gate], t: int) -> np.ndarray:
+        """Where an MCX run on target t fires, over the indices with bit t clear.
+
+        Entry i, bit t dropped, holds whether an odd number of the run's
+        control predicates hold on forward(i). Valid only while the map fixes
+        the target (columns[t] == 1 << t): then forward(i) and forward(i ^
+        e_t) differ in bit t alone, and the run is a masked swap of the two.
+        The predicates are toggled as strided sub-cubes of a table over the
+        other n - 1 qubits, read once through the inverse map's columns.
+        """
+        n = len(self.rows)
+
+        def packed(index):  # index with bit t deleted
+            return (index & ((1 << t) - 1)) | (index >> (t + 1) << t)
+
+        table = np.zeros((2,) * (n - 1), dtype=bool)
+        for gate in run:
+            at = [slice(None)] * (n - 1)
+            for q, polarity in gate.controls:
+                # qubit q is bit q - (q > t) once bit t is deleted
+                at[n - 2 - q + (q > t)] = int(polarity == CLOSED)
+            cube = table[(*at, ...)]
+            np.logical_not(cube, out=cube)
+        inverse_columns = [packed(sum(((row >> b) & 1) << q for q, row in enumerate(self.rows)))
+                           for b in range(n) if b != t]
+        return table.reshape(-1)[gf2_index(inverse_columns, packed(self.image))]
 
 
 def _hadamard_layer(amps: np.ndarray, spare: np.ndarray, qubits) -> tuple[np.ndarray, np.ndarray]:
@@ -311,21 +381,44 @@ def _swap_subviews(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
     hi[...] = held
 
 
+def _masked_half_swap(amps: np.ndarray, spare: np.ndarray, mask: np.ndarray, t: int) -> None:
+    """Exchange amplitude i with i ^ (1 << t) wherever mask fires, in place.
+
+    mask is indexed like the amplitudes with bit t clear, bit t dropped;
+    spare holds the outgoing half.
+    """
+    view = amps.reshape(-1, 2, 1 << t)
+    lo, hi = view[:, 0, :], view[:, 1, :]
+    mask = mask.reshape(lo.shape)
+    held = spare[: mask.size].reshape(lo.shape)
+    np.copyto(held, lo, where=mask)
+    np.copyto(lo, hi, where=mask)
+    np.copyto(hi, held, where=mask)
+
+
 def run_circuit(state: Statevector, circuit) -> Statevector:
-    """Apply a circuit's gates in order, one pass per compiled layer."""
+    """Apply a circuit's gates in order, compiled into layers (module docstring)."""
     n = state.n_qubits
     if circuit.n_qubits != n:
         raise ValueError(f"circuit on {circuit.n_qubits} qubits, state on {n}")
     amps = state.amplitudes.copy()
     spare = np.empty_like(amps)
+    pending = _PendingMap(n)
     for run in _runs(circuit.gates):
-        if run[0].kind == "H":
-            amps, spare = _hadamard_layer(amps, spare, [g.qubits[0] for g in run])
-        elif len(run) == 1:
-            _swap_subviews(amps, run[0], n)
+        kind, t = run[0].kind, run[0].qubits[-1]
+        if kind in _PERMUTATION_KINDS and (len(run) > 1 or not pending.is_identity()):
+            for gate in run:
+                pending.compose(gate)
+        elif kind == "MCX" and not pending.is_identity() and pending.columns[t] == 1 << t:
+            _masked_half_swap(amps, spare, pending.fire_mask(run, t), t)
         else:
-            np.take(amps, _source_index(run, n), out=spare)
-            amps, spare = spare, amps
+            amps, spare = pending.flush(amps, spare)
+            if kind == "H":
+                amps, spare = _hadamard_layer(amps, spare, [g.qubits[0] for g in run])
+            else:
+                for gate in run:
+                    _swap_subviews(amps, gate, n)
+    amps, spare = pending.flush(amps, spare)
     return Statevector(n, amps)
 
 

@@ -8,6 +8,7 @@ arithmetic of apply_gate and the layer-compiled passes of run_circuit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -17,9 +18,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from walshdsp import simulator as sim
-from walshdsp.circuits import Circuit, build_filter_circuit, build_uz
+from walshdsp.circuits import Circuit, build_filter_circuit, build_sequency_wht, build_uz
 from walshdsp.filters import FilterSpec
-from walshdsp.transforms import SizingError, natural_to_sequency_perm, time_series
+from walshdsp.transforms import SizingError, gf2_index, natural_to_sequency_perm, time_series
 
 RNG = np.random.default_rng(42)
 
@@ -223,9 +224,7 @@ def gate_lists(draw):
     return Circuit(n, tuple(gates))
 
 
-@settings(max_examples=150, deadline=None)
-@given(gate_lists(), st.booleans(), st.integers(0, 2**32 - 1))
-def test_run_circuit_matches_gate_fold_and_matrix_product(circuit, complex_state, seed):
+def assert_matches_gate_fold_and_matrix_product(circuit, complex_state, seed):
     rng = np.random.default_rng(seed)
     size = 1 << circuit.n_qubits
     amps = rng.standard_normal(size)
@@ -242,6 +241,95 @@ def test_run_circuit_matches_gate_fold_and_matrix_product(circuit, complex_state
     assert compiled.amplitudes.dtype == state.amplitudes.dtype
     assert_allclose(compiled.amplitudes, folded.amplitudes, atol=1e-12)
     assert_allclose(compiled.amplitudes, unitary @ state.amplitudes, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gate_lists(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_run_circuit_matches_gate_fold_and_matrix_product(circuit, complex_state, seed):
+    assert_matches_gate_fold_and_matrix_product(circuit, complex_state, seed)
+
+
+@st.composite
+def conjugated_circuits(draw):
+    """A permutation run P, an MCX run on one target, then P reversed or a new run.
+
+    Half the draws keep P off the target's column (X anywhere, CNOT not
+    controlled on the target, SWAP not touching it), so that the MCX run is
+    one masked swap under the pending map; the other half draw P freely, and
+    a P that moves the target is flushed before the MCX run. Reversing P
+    cancels the pending map; a new permutation run is flushed at the end.
+    """
+    n = draw(st.integers(2, 6))
+    target = draw(st.integers(0, n - 1))
+    others = [q for q in range(n) if q != target]
+    movable = others if draw(st.booleans()) else list(range(n))
+
+    def permutation_run():
+        gates = []
+        for _ in range(draw(st.integers(1, 2 * n))):
+            pick = draw(st.sampled_from(["X", "CNOT", "SWAP"] if len(movable) > 1 else ["X", "CNOT"]))
+            if pick == "X":
+                gates.append(sim.x(draw(st.integers(0, n - 1))))
+            elif pick == "CNOT":
+                control = draw(st.sampled_from(movable))
+                gates.append(sim.cnot(control, draw(st.sampled_from([q for q in range(n) if q != control]))))
+            else:
+                gates.append(sim.swap(*draw(st.lists(st.sampled_from(movable), min_size=2, max_size=2, unique=True))))
+        return gates
+
+    prefix = permutation_run()
+    selector = []
+    for _ in range(draw(st.integers(1, n + 1))):
+        controls = draw(st.lists(st.sampled_from(others), unique=True))
+        polarities = draw(st.lists(st.sampled_from([sim.OPEN, sim.CLOSED]),
+                                   min_size=len(controls), max_size=len(controls)))
+        selector.append(sim.mcx(list(zip(controls, polarities)), target))
+    suffix = list(reversed(prefix)) if draw(st.booleans()) else permutation_run()
+    return Circuit(n, tuple(prefix + selector + suffix))
+
+
+@settings(max_examples=150, deadline=None)
+@given(conjugated_circuits(), st.booleans(), st.integers(0, 2**32 - 1))
+@example(build_filter_circuit(3, FilterSpec.low_pass(3)), False, 0)
+@example(build_filter_circuit(4, FilterSpec.high_pass(5), swapped=True), True, 1)
+@example(build_filter_circuit(5, FilterSpec.band_pass(3, 27)), False, 2)
+@example(build_filter_circuit(5, FilterSpec.dc(), swapped=True), True, 3)
+def test_conjugated_mcx_runs_match_gate_fold_and_matrix_product(circuit, complex_state, seed):
+    # the pending map either carries the MCX run as one masked swap or is
+    # flushed before it, and is cancelled or flushed after it
+    assert_matches_gate_fold_and_matrix_product(circuit, complex_state, seed)
+
+
+def count_gf2_indices(monkeypatch) -> list[int]:
+    """Patch the simulator's gf2_index to record each index's column count."""
+    sizes: list[int] = []
+
+    def counting(columns, offset=0):
+        sizes.append(len(columns))
+        return gf2_index(columns, offset)
+
+    monkeypatch.setattr(sim, "gf2_index", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_filter_circuits_defer_uz_and_make_no_gather(monkeypatch, swapped):
+    # the selector reads its controls through the pending uz as one fire
+    # mask over the n data qubits, and uz inverse cancels uz: no index over
+    # all n + 1 qubits is built
+    n = 10
+    sizes = count_gf2_indices(monkeypatch)
+    state = random_real_state(n + 1)
+    for spec in (FilterSpec.low_pass(300), FilterSpec.high_pass(517), FilterSpec.band_pass(37, 901)):
+        sim.run_circuit(state, build_filter_circuit(n, spec, swapped=swapped))
+    assert sizes == [n] * 3
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sequency_wht_gathers_once_at_the_end(monkeypatch, n):
+    sizes = count_gf2_indices(monkeypatch)
+    sim.run_circuit(random_state(n), build_sequency_wht(n))
+    assert sizes == [n]
 
 
 @st.composite
@@ -292,12 +380,19 @@ def test_h_run_blocks_match_gate_fold(circuit, complex_state, seed):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_uz_gather_index_is_the_inverse_sequency_map(n):
-    # uz sends |s> to |sequency_of(s)>, so its layer reads amplitude g from
-    # natural position inverse[g]
-    source = sim._source_index(list(build_uz(n).gates), n)
-    _, inverse = natural_to_sequency_perm(n)
+    # uz sends |s> to |sequency_of(s)>: its pending map gathers amplitude g
+    # from natural position inverse[g], and its inverse rows send s to
+    # forward[s]
+    pending = sim._PendingMap(n)
+    for gate in build_uz(n).gates:
+        pending.compose(gate)
+    forward, inverse = natural_to_sequency_perm(n)
+    source = pending.source_index()
     assert source.dtype == inverse.dtype
     assert np.array_equal(source, inverse)
+    s = np.arange(1 << n)
+    image = sum((np.bitwise_count(row & s).astype(np.intp) & 1) << q for q, row in enumerate(pending.rows))
+    assert np.array_equal(image ^ pending.image, forward)
 
 
 @pytest.mark.parametrize(
@@ -317,22 +412,35 @@ def test_real_constructors_store_float64():
 
 @pytest.mark.parametrize("swapped", [False, True])
 def test_altering_one_filter_gate_changes_the_output(swapped):
-    # every gate of the emitted circuit must act: drop or change any one and
-    # the simulated state moves
-    n = 4
-    circuit = build_filter_circuit(n, FilterSpec.band_pass(3, 11), swapped=swapped)
-    state = random_real_state(n + 1)
-    reference = sim.run_circuit(state, circuit).amplitudes
-    for i, gate in enumerate(circuit.gates):
-        variants = [()]
-        if gate.kind == "MCX":
-            (q, polarity), *rest = gate.controls
-            flipped = sim.OPEN if polarity == sim.CLOSED else sim.CLOSED
-            variants.append((sim.mcx([(q, flipped), *rest], gate.target),))
-        for replacement in variants:
-            gates = circuit.gates[:i] + replacement + circuit.gates[i + 1:]
-            out = sim.run_circuit(state, Circuit(n + 1, gates)).amplitudes
-            assert np.max(np.abs(out - reference)) > 1e-3, (i, gate, replacement)
+    # every gate of each emitted circuit must act: drop or change any one
+    # and the simulated state moves, a uz gate under the pending map included.
+    # The input has ancilla |0> and Walsh coefficients of magnitudes 1..N in
+    # random order, with random signs: sending a sequency index to the other
+    # branch, or two indices to each other's place, changes a coefficient by
+    # at least 1/||s||, and so some amplitude by more than 1e-3 for N <= 32.
+    # A random input can hold next to nothing at one index, a flat one the
+    # same value at two.
+    for n in (4, 5):
+        size = 1 << n
+        walsh = functools.reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * n)
+        spectrum = RNG.permutation(np.arange(1.0, size + 1)) * RNG.choice([-1.0, 1.0], size)
+        amps = np.zeros(2 * size)
+        amps[:size] = walsh @ spectrum / np.linalg.norm(walsh @ spectrum)
+        state = sim.Statevector(n + 1, amps)
+        for spec in (FilterSpec.low_pass(size // 4 + 1), FilterSpec.high_pass(size - size // 4 - 1),
+                     FilterSpec.band_pass(3, size - 5), FilterSpec.dc()):
+            circuit = build_filter_circuit(n, spec, swapped=swapped)
+            reference = sim.run_circuit(state, circuit).amplitudes
+            for i, gate in enumerate(circuit.gates):
+                variants = [()]
+                if gate.kind == "MCX":
+                    (q, polarity), *rest = gate.controls
+                    flipped = sim.OPEN if polarity == sim.CLOSED else sim.CLOSED
+                    variants.append((sim.mcx([(q, flipped), *rest], gate.target),))
+                for replacement in variants:
+                    gates = circuit.gates[:i] + replacement + circuit.gates[i + 1:]
+                    out = sim.run_circuit(state, Circuit(n + 1, gates)).amplitudes
+                    assert np.max(np.abs(out - reference)) > 1e-3, (circuit.label, i, gate, replacement)
 
 
 def test_run_circuit_qubit_count_mismatch():
