@@ -97,7 +97,7 @@ def _normalize_intervals(intervals, size: int) -> list[tuple[int, int]]:
     """Sort, bound-check and merge touching intervals; reject overlaps."""
     cleaned = []
     for lo, hi in intervals:
-        lo, hi = int(lo), int(hi)
+        lo, hi = check_int(lo, "interval bound"), check_int(hi, "interval bound")
         if not 0 <= lo < hi <= size:
             raise ValueError(f"interval [{lo}, {hi}) out of range for size {size}")
         cleaned.append((lo, hi))

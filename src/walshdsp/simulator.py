@@ -22,17 +22,14 @@ where it must:
   with its dense 2**g x 2**g matrix, written into a spare buffer;
 * X/CNOT/SWAP gates are a GF(2)-affine map of the basis indices. They are
   not applied but composed into a pending map, which relabels the index
-  bits (Haener & Steiger, SC17). The map is materialised, as one gather
-  through a transforms.gf2_index array, only before an H run, before an MCX
-  run it moves the target of, and at the end, and not at all when it has
-  come back to the identity, as uz followed by its inverse does;
-* a run of MCX gates on one target whose qubit the pending map leaves in
-  place is one masked half-swap: each gate toggles the sub-cube of a table
-  over the other qubits where its controls hold, and the table is read once
-  through the pending map's inverse;
-* with nothing pending, an MCX, or a lone X/CNOT/SWAP, exchanges two
-  strided sub-views of the amplitudes reshaped to one axis per qubit, so no
-  index array is built.
+  bits (Haener & Steiger, SC17). The map is materialised only before an H
+  run, before an MCX run it moves the target of, and at the end: as a copy
+  through np.flip when it only flips bits, as one gather through a
+  transforms.gf2_index array otherwise, and not at all when it has come
+  back to the identity, as uz followed by its inverse does;
+* a run of MCX gates on one target is one masked half-swap: each gate
+  toggles the sub-cube of a table over the other qubits where its controls
+  hold, and the table is read once through the pending map's inverse.
 
 The layers come from the gate list alone. apply_gate keeps the per-gate
 index-array kernel as the slow reference the compiled path is tested
@@ -268,9 +265,9 @@ class _PendingMap:
         self.offset = 0
         self.image = 0
 
-    def is_identity(self) -> bool:
+    def flips_only(self) -> bool:
         # A = I makes B = I, so the rows need no check
-        return self.offset == 0 and self.columns == [1 << b for b in range(len(self.columns))]
+        return self.columns == [1 << b for b in range(len(self.columns))]
 
     def compose(self, gate: Gate) -> None:
         if gate.kind == "X":
@@ -294,12 +291,24 @@ class _PendingMap:
         return gf2_index(self.columns, self.offset)
 
     def flush(self, amps: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Apply the map by one gather into spare, unless it is the identity;
-        returns the swapped pair and leaves the map empty."""
-        if self.is_identity():
+        """Apply the map into spare, unless it is the identity; returns the
+        swapped pair and leaves the map empty.
+
+        A map that only flips bits is a copy through np.flip over their axes
+        of the amplitudes reshaped to one axis per qubit; any other map is
+        one gather.
+        """
+        n = len(self.rows)
+        if not self.flips_only():
+            np.take(amps, self.source_index(), out=spare)
+        elif self.offset:
+            shape = (2,) * n
+            # the qubit-q axis of the reshaped view is axis n-1-q
+            flipped = [n - 1 - q for q in range(n) if (self.offset >> q) & 1]
+            np.copyto(spare.reshape(shape), np.flip(amps.reshape(shape), flipped))
+        else:
             return amps, spare
-        np.take(amps, self.source_index(), out=spare)
-        self.__init__(len(self.rows))
+        self.__init__(n)
         return spare, amps
 
     def fire_mask(self, run: list[Gate], t: int) -> np.ndarray:
@@ -325,6 +334,8 @@ class _PendingMap:
                 at[n - 2 - q + (q > t)] = int(polarity == CLOSED)
             cube = table[(*at, ...)]
             np.logical_not(cube, out=cube)
+        if not self.offset and self.flips_only():
+            return table.reshape(-1)
         inverse_columns = [packed(sum(((row >> b) & 1) << q for q, row in enumerate(self.rows)))
                            for b in range(n) if b != t]
         return table.reshape(-1)[gf2_index(inverse_columns, packed(self.image))]
@@ -358,29 +369,6 @@ def _hadamard_layer(amps: np.ndarray, spare: np.ndarray, qubits) -> tuple[np.nda
     return amps, spare
 
 
-def _swap_subviews(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
-    """Apply one X, CNOT, SWAP or MCX by exchanging two sub-views in place."""
-    first = [slice(None)] * n_qubits
-    if gate.kind == "SWAP":
-        a, b = gate.qubits
-        settings = [(a, 0, 1), (b, 1, 0)]
-    else:
-        controls = () if gate.kind == "X" else gate.controls
-        settings = [(q, int(p == CLOSED), int(p == CLOSED)) for q, p in controls]
-        settings.append((gate.qubits[-1], 0, 1))
-    second = list(first)
-    for q, a, b in settings:
-        # the qubit-q axis of the reshaped view is axis n-1-q
-        first[n_qubits - 1 - q] = a
-        second[n_qubits - 1 - q] = b
-    view = amps.reshape((2,) * n_qubits)
-    # the trailing Ellipsis keeps a view even when every axis is fixed
-    lo, hi = view[(*first, ...)], view[(*second, ...)]
-    held = lo.copy()
-    lo[...] = hi
-    hi[...] = held
-
-
 def _masked_half_swap(amps: np.ndarray, spare: np.ndarray, mask: np.ndarray, t: int) -> None:
     """Exchange amplitude i with i ^ (1 << t) wherever mask fires, in place.
 
@@ -406,18 +394,16 @@ def run_circuit(state: Statevector, circuit) -> Statevector:
     pending = _PendingMap(n)
     for run in _runs(circuit.gates):
         kind, t = run[0].kind, run[0].qubits[-1]
-        if kind in _PERMUTATION_KINDS and (len(run) > 1 or not pending.is_identity()):
-            for gate in run:
-                pending.compose(gate)
-        elif kind == "MCX" and not pending.is_identity() and pending.columns[t] == 1 << t:
+        if kind == "H":
+            amps, spare = pending.flush(amps, spare)
+            amps, spare = _hadamard_layer(amps, spare, [g.qubits[0] for g in run])
+        elif kind == "MCX":
+            if pending.columns[t] != 1 << t:
+                amps, spare = pending.flush(amps, spare)
             _masked_half_swap(amps, spare, pending.fire_mask(run, t), t)
         else:
-            amps, spare = pending.flush(amps, spare)
-            if kind == "H":
-                amps, spare = _hadamard_layer(amps, spare, [g.qubits[0] for g in run])
-            else:
-                for gate in run:
-                    _swap_subviews(amps, gate, n)
+            for gate in run:
+                pending.compose(gate)
     amps, spare = pending.flush(amps, spare)
     return Statevector(n, amps)
 

@@ -213,17 +213,14 @@ def natural_to_sequency_perm(n: int) -> tuple[np.ndarray, np.ndarray]:
     return forward, inverse
 
 
-def _fwht_inplace(a: np.ndarray, bits=None) -> None:
-    """Unscaled radix-2 butterflies in place, one stage per index bit.
+def _fwht_inplace(a: np.ndarray) -> None:
+    """Unscaled natural-order radix-2 butterflies in place.
 
-    The stage for bit q pairs the entries whose indices differ only in bit q
-    (stride 2**q). bits defaults to every bit of a.size in increasing order,
-    the full natural-order transform; the simulator passes the qubits of an
-    H layer. Works on real and complex arrays alike.
+    One stage runs per index bit of a.size, in increasing order; the stage
+    for bit q pairs the entries whose indices differ only in bit q (stride
+    2**q). Works on real and complex arrays alike.
     """
-    if bits is None:
-        bits = range(a.size.bit_length() - 1)
-    for q in bits:
+    for q in range(a.size.bit_length() - 1):
         view = a.reshape(-1, 2, 1 << q)
         top = view[:, 0, :].copy()
         bottom = view[:, 1, :]

@@ -174,6 +174,11 @@ def test_selector_rejects_bad_intervals():
         qc.build_sequency_selector(3, [(2, 2)])
     with pytest.raises(ValueError):
         qc.build_sequency_selector(3, [(0, 4), (3, 6)])
+    # fractional or non-numeric bounds are errors, not truncated to [0:2) or [1:3)
+    with pytest.raises(ValueError, match="integer"):
+        qc.build_sequency_selector(3, [(0.5, 2.9)])
+    with pytest.raises(ValueError, match="integer"):
+        qc.build_sequency_selector(3, [("1", "3")])
 
 
 @pytest.mark.parametrize(

@@ -253,7 +253,7 @@ def test_oracle_keeps_the_bits_of_three_sequency_transforms(n):
 
 
 def test_quantum_path_does_not_run_the_classical_butterflies(monkeypatch):
-    def refuse(a, bits=None):
+    def refuse(a):
         raise AssertionError("radix-2 kernel called")
 
     # swapping the code object reaches every binding, one imported by name too

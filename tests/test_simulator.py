@@ -245,6 +245,10 @@ def assert_matches_gate_fold_and_matrix_product(circuit, complex_state, seed):
 
 @settings(max_examples=150, deadline=None)
 @given(gate_lists(), st.booleans(), st.integers(0, 2**32 - 1))
+# X on several qubits, flushed before an H run as a flip with no index
+@example(Circuit(4, (sim.x(0), sim.x(2), sim.x(3), sim.h(0), sim.h(1), sim.h(3))), False, 0)
+# a lone SWAP with nothing pending, gathered before an H run
+@example(Circuit(3, (sim.swap(0, 2), sim.h(1))), True, 1)
 def test_run_circuit_matches_gate_fold_and_matrix_product(circuit, complex_state, seed):
     assert_matches_gate_fold_and_matrix_product(circuit, complex_state, seed)
 
@@ -294,6 +298,9 @@ def conjugated_circuits(draw):
 @example(build_filter_circuit(4, FilterSpec.high_pass(5), swapped=True), True, 1)
 @example(build_filter_circuit(5, FilterSpec.band_pass(3, 27)), False, 2)
 @example(build_filter_circuit(5, FilterSpec.dc(), swapped=True), True, 3)
+# an X on the MCX run's target: the fire mask under a pure offset
+@example(Circuit(3, (sim.x(2), sim.mcx([(0, sim.OPEN), (1, sim.CLOSED)], 2), sim.mcx([(1, sim.OPEN)], 2),
+                     sim.x(2))), False, 4)
 def test_conjugated_mcx_runs_match_gate_fold_and_matrix_product(circuit, complex_state, seed):
     # the pending map either carries the MCX run as one masked swap or is
     # flushed before it, and is cancelled or flushed after it
@@ -316,11 +323,13 @@ def count_gf2_indices(monkeypatch) -> list[int]:
 def test_filter_circuits_defer_uz_and_make_no_gather(monkeypatch, swapped):
     # the selector reads its controls through the pending uz as one fire
     # mask over the n data qubits, and uz inverse cancels uz: no index over
-    # all n + 1 qubits is built
+    # all n + 1 qubits is built; the dc circuit has no uz, and its leading X
+    # (swapped) is a flip, so it builds no index at all
     n = 10
     sizes = count_gf2_indices(monkeypatch)
     state = random_real_state(n + 1)
-    for spec in (FilterSpec.low_pass(300), FilterSpec.high_pass(517), FilterSpec.band_pass(37, 901)):
+    for spec in (FilterSpec.low_pass(300), FilterSpec.high_pass(517), FilterSpec.band_pass(37, 901),
+                 FilterSpec.dc()):
         sim.run_circuit(state, build_filter_circuit(n, spec, swapped=swapped))
     assert sizes == [n] * 3
 
