@@ -16,10 +16,10 @@ stays real through every gate, a complex state is stored as complex128.
 run_circuit compiles the gate list into layers and moves the amplitudes only
 where it must:
 
-* a run of H gates on distinct qubits is a Kronecker product of unitary
-  Hadamard blocks (Good's interaction algorithm): its sorted qubits are cut
-  into blocks of at most 5 consecutive qubits, and each block is one matmul
-  with its dense 2**g x 2**g matrix, written into a spare buffer;
+* a run of H gates on k distinct qubits is one call of the package's
+  Hadamard kernel, transforms._hadamard_layer (Good's interaction algorithm):
+  one matmul per block of consecutive qubits into a spare buffer, with the
+  unitary scale 2**(-k/2) folded into the last block;
 * X/CNOT/SWAP gates are a GF(2)-affine map of the basis indices. They are
   not applied but composed into a pending map, which relabels the index
   bits (Haener & Steiger, SC17). The map is materialised only before an H
@@ -33,7 +33,8 @@ where it must:
 
 The layers come from the gate list alone. apply_gate keeps the per-gate
 index-array kernel as the slow reference the compiled path is tested
-against; neither shares code with the classical transforms.
+against. The H kernel is shared with the classical transforms, so the tests
+and verify check it against the radix-2 butterflies and the sequency matrix.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from walshdsp.transforms import gf2_index, peak_units, time_signal
+from walshdsp.transforms import _hadamard_layer, gf2_index, peak_units, time_signal
 
 OPEN = "open"
 CLOSED = "closed"
@@ -55,23 +56,6 @@ GATE_KINDS = tuple(GATE_OPERANDS)
 _PERMUTATION_KINDS = ("X", "CNOT", "SWAP")
 _NORM_TOL = 1e-10
 _RSQRT2 = 1.0 / np.sqrt(2.0)
-# qubits per Hadamard block of an H layer
-_BLOCK_QUBITS = 5
-# columns per BLAS product: a 32 x 32 x 256 product is small enough for
-# OpenBLAS to run on one thread; larger ones, split over two threads, stalled
-# some processes by up to 130 ms per H layer at n = 14..17 on a 2-core VM
-_BLOCK_COLUMNS = 256
-
-
-def _hadamard(g: int) -> np.ndarray:
-    """Unitary 2**g x 2**g Hadamard matrix, entry (k, j) = (-1)**(k.j) / 2**(g/2)."""
-    m = np.ones((1, 1))
-    for _ in range(g):
-        m = np.block([[m, m], [m, -m]])
-    return m * 2.0 ** (-g / 2)
-
-
-_HADAMARD_BLOCKS = tuple(_hadamard(g) for g in range(_BLOCK_QUBITS + 1))
 
 
 class NormalizationError(ValueError):
@@ -230,19 +214,20 @@ def _runs(gates):
     run one Kronecker product of Hadamard blocks; no gate of an MCX run
     controls on the shared target, so the run's gates commute and XOR.
     """
-    run: list[Gate] = []
+    run, seen = [], set()  # seen: the operands in the run, for H distinctness
     for gate in gates:
         kind = run[0].kind if run else None
         if kind == "H":
-            joins = gate.kind == "H" and all(g.qubits != gate.qubits for g in run)
+            joins = gate.kind == "H" and gate.qubits not in seen
         elif kind == "MCX":
             joins = gate.kind == "MCX" and gate.qubits[-1] == run[0].qubits[-1]
         else:
             joins = kind in _PERMUTATION_KINDS and gate.kind in _PERMUTATION_KINDS
         if not joins and run:
             yield run
-            run = []
+            run, seen = [], set()
         run.append(gate)
+        seen.add(gate.qubits)
     if run:
         yield run
 
@@ -341,34 +326,6 @@ class _PendingMap:
         return table.reshape(-1)[gf2_index(inverse_columns, packed(self.image))]
 
 
-def _hadamard_layer(amps: np.ndarray, spare: np.ndarray, qubits) -> tuple[np.ndarray, np.ndarray]:
-    """H on distinct qubits, one matmul per block; returns the swapped pair.
-
-    A block of g consecutive qubits from qubit lo multiplies the middle axis
-    of the (outer, 2**g, 2**lo) view by its matrix (from the right on
-    (rows, 2**g) when lo = 0), in BLAS products of at most _BLOCK_COLUMNS
-    columns (rows), reading one buffer and writing the other.
-    """
-    blocks: list[list[int]] = []  # [lowest qubit, width]
-    for q in sorted(qubits):
-        if blocks and blocks[-1][0] + blocks[-1][1] == q and blocks[-1][1] < _BLOCK_QUBITS:
-            blocks[-1][1] += 1
-        else:
-            blocks.append([q, 1])
-    for lo, g in blocks:
-        matrix = _HADAMARD_BLOCKS[g]
-        if lo == 0:
-            shape = (-1, min(amps.size >> g, _BLOCK_COLUMNS), 1 << g)
-            np.matmul(amps.reshape(shape), matrix, out=spare.reshape(shape))
-        else:
-            columns = min(1 << lo, _BLOCK_COLUMNS)
-            shape = (-1, 1 << g, (1 << lo) // columns, columns)
-            np.matmul(matrix, amps.reshape(shape).transpose(0, 2, 1, 3),
-                      out=spare.reshape(shape).transpose(0, 2, 1, 3))
-        amps, spare = spare, amps
-    return amps, spare
-
-
 def _masked_half_swap(amps: np.ndarray, spare: np.ndarray, mask: np.ndarray, t: int) -> None:
     """Exchange amplitude i with i ^ (1 << t) wherever mask fires, in place.
 
@@ -396,7 +353,7 @@ def run_circuit(state: Statevector, circuit) -> Statevector:
         kind, t = run[0].kind, run[0].qubits[-1]
         if kind == "H":
             amps, spare = pending.flush(amps, spare)
-            amps, spare = _hadamard_layer(amps, spare, [g.qubits[0] for g in run])
+            amps, spare = _hadamard_layer(amps, spare, [g.qubits[0] for g in run], 2 ** (-len(run) / 2))
         elif kind == "MCX":
             if pending.columns[t] != 1 << t:
                 amps, spare = pending.flush(amps, spare)

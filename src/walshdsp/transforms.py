@@ -19,10 +19,14 @@ power-of-two rescaling that rejects nan and inf), so finite samples near the
 float64 limit give finite coefficients; a coefficient that float64 cannot
 hold raises ValueError.
 
-The sequency map (prefix XORs of the index bits, in reversed bit order) is
-GF(2)-linear; gf2_index builds it and the simulator's permutation layers.
-The oracles, a brute-force zero-crossing count and the dense sequency matrix,
-refuse bit widths above BRUTE_FORCE_BOUND.
+_hadamard_layer is the package's one H kernel, shared with the simulator;
+the classical transforms run it over all n bits, then multiply once by
+1/sqrt(N). The radix-2 butterflies of _fwht_inplace are the tests' oracle.
+
+The sequency map (prefix XORs of the index bits, in reversed bit order) and
+its inverse are GF(2)-linear; gf2_index builds both and the simulator's
+permutation layers. The oracles, a brute-force zero-crossing count and the
+dense sequency matrix, refuse bit widths above BRUTE_FORCE_BOUND.
 """
 
 from __future__ import annotations
@@ -40,6 +44,11 @@ _ORDER_TAGS = (TIME, NATURAL, SEQUENCY)
 
 # refuse brute-force materialization above this bit width
 BRUTE_FORCE_BOUND = 20
+# bits per Hadamard block: 32 rows 2**15 or more apart thrash the cache, 16 do not
+_BLOCK_QUBITS = 4
+# columns per BLAS product: 16 x 16 x 1024 keeps OpenBLAS on one thread; two
+# threads stalled some processes by up to 130 ms per H layer on a 2-core VM
+_BLOCK_COLUMNS = 1024
 
 
 class SizingError(ValueError):
@@ -203,18 +212,58 @@ def gf2_index(columns, offset: int = 0) -> np.ndarray:
 def natural_to_sequency_perm(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Forward and inverse permutation between natural and sequency positions.
 
-    forward[s] = sequency_of(s, n), a GF(2)-linear map built from the images
-    of the unit indices; inverse is forward scattered back.
+    forward[s] = sequency_of(s, n) and its inverse are GF(2)-linear maps built
+    from the images of the unit indices; the inverse sends 1 << j to 3 << (n-1-j).
     """
     check_bits(n)
     forward = gf2_index([sequency_of(1 << j, n) for j in range(n)])
-    inverse = np.empty_like(forward)
-    inverse[forward] = np.arange(forward.size)
+    inverse = gf2_index([(3 << (n - 1 - j)) & ((1 << n) - 1) for j in range(n)])
     return forward, inverse
 
 
+def _hadamard(g: int) -> np.ndarray:
+    """2**g x 2**g Hadamard matrix of signs, entry (k, j) = (-1)**(k.j)."""
+    m = np.ones((1, 1))
+    for _ in range(g):
+        m = np.block([[m, m], [m, -m]])
+    return m
+
+
+_HADAMARD_BLOCKS = tuple(_hadamard(g) for g in range(_BLOCK_QUBITS + 1))
+
+
+def _hadamard_layer(a: np.ndarray, spare: np.ndarray, qubits, scale: float = 1.0):
+    """scale times the unnormalized H on distinct index bits; returns the swapped pair.
+
+    The sorted bits are cut into blocks of at most _BLOCK_QUBITS consecutive
+    bits (Good's interaction algorithm). A block of g bits from bit lo
+    multiplies the middle axis of the (outer, 2**g, 2**lo) view by its sign
+    matrix, scale folded into the last one (from the right on (rows, 2**g)
+    when lo = 0), in BLAS products of at most _BLOCK_COLUMNS columns (rows),
+    reading one buffer and writing the other. Real or complex a.
+    """
+    blocks: list[list[int]] = []  # [lowest bit, width]
+    for q in sorted(qubits):
+        if blocks and blocks[-1][0] + blocks[-1][1] == q and blocks[-1][1] < _BLOCK_QUBITS:
+            blocks[-1][1] += 1
+        else:
+            blocks.append([q, 1])
+    for i, (lo, g) in enumerate(blocks):
+        matrix = _HADAMARD_BLOCKS[g] * (scale if i == len(blocks) - 1 else 1.0)
+        if lo == 0:
+            shape = (-1, min(a.size >> g, _BLOCK_COLUMNS), 1 << g)
+            np.matmul(a.reshape(shape), matrix, out=spare.reshape(shape))
+        else:
+            columns = min(1 << lo, _BLOCK_COLUMNS)
+            shape = (-1, 1 << g, (1 << lo) // columns, columns)
+            np.matmul(matrix, a.reshape(shape).transpose(0, 2, 1, 3),
+                      out=spare.reshape(shape).transpose(0, 2, 1, 3))
+        a, spare = spare, a
+    return a, spare
+
+
 def _fwht_inplace(a: np.ndarray) -> None:
-    """Unscaled natural-order radix-2 butterflies in place.
+    """Unscaled natural-order radix-2 butterflies in place; the tests' oracle.
 
     One stage runs per index bit of a.size, in increasing order; the stage
     for bit q pairs the entries whose indices differ only in bit q (stride
@@ -238,7 +287,8 @@ def _in_peak_units(values: np.ndarray, linear) -> np.ndarray:
     """
     unit, (scaled,) = peak_units(values)
     out = linear(scaled)
-    if not math.isfinite(float(np.max(np.abs(out))) * unit):
+    peak = np.abs(out) if np.iscomplexobj(out) else out
+    if not math.isfinite(max(float(peak.max()), -float(peak.min())) * unit):
         raise ValueError("transform result is beyond float64")
     out *= unit
     return out
@@ -247,8 +297,8 @@ def _in_peak_units(values: np.ndarray, linear) -> np.ndarray:
 def _scaled_fwht(values: np.ndarray) -> np.ndarray:
     """Natural-order transform of a copy of values, with unitary scaling."""
 
-    def fwht(out):
-        _fwht_inplace(out)
+    def fwht(a):
+        out, _ = _hadamard_layer(a, np.empty_like(a), range(a.size.bit_length() - 1))
         out *= 1.0 / np.sqrt(out.size)
         return out
 
@@ -258,7 +308,7 @@ def _scaled_fwht(values: np.ndarray) -> np.ndarray:
 def fwht_natural(v) -> Coefficients:
     """Fast Walsh-Hadamard transform in natural (Hadamard) ordering.
 
-    O(N log N) butterflies with unitary scaling. The matrix is self-inverse,
+    O(N log N) Hadamard blocks with unitary scaling. The matrix is self-inverse,
     so the same call transforms back. The order tag flips between "time" and
     "natural".
     """

@@ -1,15 +1,15 @@
 """Self-check suites shared by the command line and the test harness.
 
 Three suites: the sequency map against its brute-force oracle (plus the
-doubling recursion), circuit simulation against the dense sequency matrix,
-and quantum-vs-classical filtering agreement. Each returns a CheckResult
-instead of asserting, so callers choose between exit codes and test failures;
+doubling recursion), the simulated circuit and wht_sequency against the dense
+sequency matrix, and quantum-vs-classical filtering agreement. Each returns a
+CheckResult instead of asserting, so callers choose between exit codes and test failures;
 an n_max below 1 is a SizingError, not a vacuous pass.
 
 The checks look the code under test up through its modules at call time, so
 the tests prove they can fail by patching a fault into that code (a broken
-sequency_of, a transform circuit missing a gate) and seeing the suite report
-it. The oracles they compare against are never patched.
+sequency_of, a transform circuit missing a gate, a flipped sign in the H
+kernel) and seeing the suite report it. The oracles are never patched.
 """
 
 from __future__ import annotations
@@ -49,17 +49,20 @@ def check_sequency_map(n_max: int = 8) -> CheckResult:
 
 
 def check_circuit_vs_matrix(n_max: int = 8) -> CheckResult:
-    """Simulated transform circuit columns vs the dense sequency matrix."""
+    """Transform circuit and wht_sequency columns vs the dense sequency matrix."""
     name = "circuit-vs-matrix"
     tol = 1e-12
     for n in range(1, transforms.check_bits(n_max) + 1):
         mat = transforms.sequency_matrix(n)
         circuit = circuits.build_sequency_wht(n)
         for j in range(1 << n):
-            out = simulator.run_circuit(simulator.basis_state(n, j), circuit)
+            basis = simulator.basis_state(n, j)
+            out = simulator.run_circuit(basis, circuit)
             if np.max(np.abs(out.amplitudes - mat[:, j])) > tol:
                 return CheckResult(name, False, f"column {j} deviates at n={n}")
-    return CheckResult(name, True, f"all columns within {tol} for n <= {n_max}")
+            if np.max(np.abs(transforms.wht_sequency(basis.amplitudes).values - mat[:, j])) > tol:
+                return CheckResult(name, False, f"wht_sequency column {j} deviates at n={n}")
+    return CheckResult(name, True, f"circuit and wht_sequency columns within {tol} for n <= {n_max}")
 
 
 def check_path_equivalence(n: int = 6) -> CheckResult:

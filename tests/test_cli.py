@@ -8,6 +8,8 @@ import pytest
 from walshdsp import circuits, signals, transforms
 from walshdsp.cli import CutoffExpr, _cutoff_type, main
 
+EPS = np.finfo(np.float64).eps
+
 
 def _write_signal(path, values):
     signals.save_csv(str(path), np.asarray(values, dtype=np.float64))
@@ -303,8 +305,10 @@ def test_samples_near_float64_limit_give_finite_coefficients(tmp_path, capsys, a
     assert len(outputs) == (2 if argv[0] == "spectrum" else 1)
     for path in outputs:
         values = _read_values(path)
+        assert np.isfinite(values).all()
         assert values[0] == pytest.approx(8e307, rel=1e-15)
-        assert not values[1:].any()
+        # zero only to within rounding: n = 6 times eps of the peak
+        assert np.max(np.abs(values[1:])) <= 6 * EPS * values[0]
     out = capsys.readouterr().out
     if argv[0] == "transform":
         assert out.startswith("parseval: |input|=8e+307 |output|=8e+307 drift=")
@@ -332,17 +336,18 @@ def test_transform_huge_samples_print_finite_norms(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("order,expected", [
-    ("sequency", ["1.1999999999999999e+308", "-1.1999999999999999e+308",
-                  "1.1999999999999999e+308", "1.1999999999999999e+308"]),
-    ("natural", ["1.1999999999999999e+308", "1.1999999999999999e+308",
-                 "-1.1999999999999999e+308", "1.1999999999999999e+308"]),
+    ("sequency", [1.2e308, -1.2e308, 1.2e308, 1.2e308]),
+    ("natural", [1.2e308, 1.2e308, -1.2e308, 1.2e308]),
 ])
 def test_transform_norms_beyond_float64_give_a_finite_drift(tmp_path, capsys, order, expected):
     # finite coefficients whose 2-norm, 2.4e308, float64 cannot hold
     src, out = tmp_path / "huge.csv", tmp_path / "o.csv"
     src.write_text("1.2e308\n-1.2e308\n1.2e308\n1.2e308\n")
     assert main(["transform", "--order", order, "--input", str(src), "--output", str(out)]) == 0
-    assert out.read_text() == "".join(f"{v}\n" for v in expected)
+    values = _read_values(out)
+    assert np.isfinite(values).all()
+    # within n = 2 times eps of the peak, each with its sign
+    assert np.max(np.abs(values - np.array(expected))) <= 2 * EPS * 1.2e308
     line = capsys.readouterr().out
     assert "nan" not in line
     norms = dict(field.split("=") for field in line.split()[1:])

@@ -228,7 +228,7 @@ def specs_for(size: int) -> list[flt.FilterSpec]:
 
 @pytest.mark.parametrize("n", [17, 18])
 def test_quantum_matches_oracle_where_the_last_h_block_is_short(n):
-    # 17 and 18 data qubits cut into H blocks of 5, 5, 5 and then 2 or 3
+    # 17 and 18 data qubits cut into H blocks of 4, 4, 4, 4 and then 1 or 2
     signal = np.random.default_rng(n).standard_normal(1 << n)
     tol = 1e-10 * np.linalg.norm(signal)
     for spec in specs_for(1 << n):
@@ -252,17 +252,24 @@ def test_oracle_keeps_the_bits_of_three_sequency_transforms(n):
             assert np.array_equal(got.values, want.values)
 
 
-def test_quantum_path_does_not_run_the_classical_butterflies(monkeypatch):
+def test_no_library_path_runs_the_radix2_oracle(monkeypatch):
     def refuse(a):
-        raise AssertionError("radix-2 kernel called")
+        raise AssertionError("radix-2 oracle called")
 
     # swapping the code object reaches every binding, one imported by name too
     monkeypatch.setattr(tr._fwht_inplace, "__code__", refuse.__code__)
-    signal = RNG.standard_normal(64)
-    result = flt.filter_quantum(signal, flt.FilterSpec.band_pass(5, 40))
-    assert_allclose(result.pass_branch.values + result.stop_branch.values, signal, atol=1e-12)
     with pytest.raises(AssertionError, match="radix-2"):
-        tr.fwht_natural(signal)
+        tr._fwht_inplace(np.zeros(4))
+    signal = RNG.standard_normal(64)
+    natural = tr.fwht_natural(signal)
+    assert_allclose(tr.fwht_natural(natural).values, signal, atol=1e-12)
+    spectrum = tr.wht_sequency(signal)
+    assert_allclose(tr.wht_sequency(spectrum, inverse=True).values, signal, atol=1e-12)
+    spec = flt.FilterSpec.band_pass(5, 40)
+    oracle_pass, oracle_stop = flt.filter_classical_oracle(signal, spec)
+    assert_allclose(oracle_pass.values + oracle_stop.values, signal, atol=1e-12)
+    result = flt.filter_quantum(signal, spec)
+    assert_allclose(result.pass_branch.values + result.stop_branch.values, signal, atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

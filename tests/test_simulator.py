@@ -346,7 +346,7 @@ def h_runs(draw):
     """One H run on n <= 12 qubits, its qubits in drawn order.
 
     Half the draws are a contiguous range (one qubit up to all n, so past the
-    5-qubit block width), half any non-empty subset, gaps included.
+    4-qubit block width), half any non-empty subset, gaps included.
     """
     n = draw(st.integers(1, 12))
     if draw(st.booleans()):
@@ -363,7 +363,7 @@ def h_runs(draw):
 @example(Circuit(12, tuple(sim.h(q) for q in range(1, 12, 2))), True, 1)
 @example(Circuit(6, (sim.h(5),)), True, 2)
 def test_h_run_blocks_match_gate_fold(circuit, complex_state, seed):
-    # run_circuit applies an H run as dense Hadamard blocks of up to 5
+    # run_circuit applies an H run as dense Hadamard blocks of up to 4
     # qubits; apply_gate folds one radix-2 butterfly per gate
     n = circuit.n_qubits
     rng = np.random.default_rng(seed)

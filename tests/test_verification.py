@@ -37,10 +37,25 @@ def _drop_a_gate(monkeypatch):
     monkeypatch.setattr(circuits, "build_sequency_wht", broken)
 
 
+def _flip_a_kernel_sign(monkeypatch):
+    real = transforms._hadamard_layer
+
+    def broken(a, spare, qubits, scale=1.0):
+        # the classical transform's last coefficient changes sign at n=3; the
+        # simulator holds its own binding, so only wht_sequency sees this
+        out, spare = real(a, spare, qubits, scale)
+        if out.size == 8:
+            out[-1] = -out[-1]
+        return out, spare
+
+    monkeypatch.setattr(transforms, "_hadamard_layer", broken)
+
+
 @pytest.mark.parametrize(
     "check,inject",
-    [(verification.check_sequency_map, _break_map), (verification.check_circuit_vs_matrix, _drop_a_gate)],
-    ids=["map", "matrix"],
+    [(verification.check_sequency_map, _break_map), (verification.check_circuit_vs_matrix, _drop_a_gate),
+     (verification.check_circuit_vs_matrix, _flip_a_kernel_sign)],
+    ids=["map", "matrix", "kernel"],
 )
 def test_injected_fault_is_detected(monkeypatch, check, inject):
     assert check(4).ok
