@@ -30,8 +30,10 @@ import json
 from dataclasses import dataclass
 from operator import index
 
-from walshdsp.simulator import CLOSED, GATE_KINDS, GATE_OPERANDS, OPEN, Gate, check_register, cnot, h, mcx, swap, x
+from walshdsp.simulator import CLOSED, GATE_KINDS, GATE_OPERANDS, OPEN, Gate, check_register, cnot, h, swap, x
 from walshdsp.transforms import check_bits, check_int
+
+_POLARITY_OF_BIT = {"0": OPEN, "1": CLOSED}
 
 
 @dataclass(frozen=True)
@@ -127,15 +129,19 @@ def _dyadic_blocks(merged, n: int) -> list[tuple[int, int]]:
 
 
 def _selector_gates(blocks, n: int) -> list[Gate]:
-    """One MCX on the ancilla per dyadic block, controlled by its high bits."""
+    """One MCX on the ancilla per dyadic block, controlled by its high bits.
+
+    The blocks of one size share one qubit tuple: data qubits n-1 down to t,
+    then the ancilla.
+    """
     gates = []
+    qubits: dict[int, tuple[int, ...]] = {}
     for start, t in blocks:
-        m = start >> t
-        controls = [
-            (q, CLOSED if (m >> (q - t)) & 1 else OPEN)
-            for q in range(n - 1, t - 1, -1)
-        ]
-        gates.append(mcx(controls, n))
+        if t not in qubits:
+            qubits[t] = (*range(n - 1, t - 1, -1), n)
+        # the n - t bits of m = start >> t, high to low, under a leading 1
+        bits = bin(start >> t | 1 << (n - t))[3:]
+        gates.append(Gate("MCX", qubits[t], tuple(map(_POLARITY_OF_BIT.__getitem__, bits))))
     return gates
 
 
@@ -258,6 +264,8 @@ def circuit_from_dict(data: dict) -> Circuit:
     """Inverse of circuit_to_dict; qubit indices and n_qubits must be integral."""
     if data.get("format") != "walshdsp-circuit":
         raise ValueError("not a walshdsp circuit description")
+    if data.get("version") != 1:
+        raise ValueError(f"unsupported circuit description version {data.get('version')!r}")
     gates = tuple(_gate_from_record(rec) for rec in data["gates"])
     return Circuit(check_int(data["n_qubits"], "n_qubits"), gates, str(data.get("label", "")))
 

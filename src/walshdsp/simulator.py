@@ -27,9 +27,10 @@ where it must:
   through np.flip when it only flips bits, as one gather through a
   transforms.gf2_index array otherwise, and not at all when it has come
   back to the identity, as uz followed by its inverse does;
-* a run of MCX gates on one target is one masked half-swap: each gate
-  toggles the sub-cube of a table over the other qubits where its controls
-  hold, and the table is read once through the pending map's inverse.
+* a run of MCX gates on one target is one masked half-swap, an XOR swap of
+  the amplitudes' bits: each gate toggles the sub-cube of a table over the
+  other qubits where its controls hold, and the table is scattered once
+  through the pending map's own columns into the mask.
 
 The layers come from the gate list alone. apply_gate keeps the per-gate
 index-array kernel as the slow reference the compiled path is tested
@@ -40,11 +41,13 @@ and verify check it against the radix-2 butterflies and the sequency matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, groupby
+from operator import attrgetter, index
 
 import numpy as np
 
-from walshdsp.transforms import _hadamard_layer, gf2_index, peak_units, time_signal
+from walshdsp.transforms import _hadamard_layer, check_int, gf2_index, peak_units, time_signal
 
 OPEN = "open"
 CLOSED = "closed"
@@ -53,7 +56,11 @@ CLOSED = "closed"
 GATE_OPERANDS = {"H": ("qubit",), "X": ("qubit",), "CNOT": ("control", "target"),
                  "SWAP": ("a", "b"), "MCX": ("controls", "target")}
 GATE_KINDS = tuple(GATE_OPERANDS)
+_ARITY = {kind: len(names) for kind, names in GATE_OPERANDS.items() if kind != "MCX"}
 _PERMUTATION_KINDS = ("X", "CNOT", "SWAP")
+_BIT = {OPEN: 0, CLOSED: 1}
+_KIND, _QUBITS = attrgetter("kind"), attrgetter("qubits")
+_TARGET = attrgetter("target")
 _NORM_TOL = 1e-10
 _RSQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -62,23 +69,22 @@ class NormalizationError(ValueError):
     """Raised when a signal cannot be scaled to a unit-norm state."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Gate:
     """One gate: a kind, the qubits it touches, and control polarities.
 
     qubits holds the operands GATE_OPERANDS names for the kind, in order; an
     MCX's controls are spread out before its target, with one polarity each.
-    Use the factory functions below rather than the constructor.
+    A qubit index is an int or a numpy integer. Use the factory functions
+    below rather than the constructor.
     """
 
     kind: str
     qubits: tuple[int, ...]
-    polarities: tuple[str, ...] = field(default=())
+    polarities: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        kind, qubits, polarities = self.kind, self.qubits, self.polarities
-        if kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {kind!r}")
+    def __init__(self, kind: str, qubits: tuple[int, ...], polarities: tuple[str, ...] = ()):
+        # one pass of cheap checks; the messages are only built on failure
         if kind == "MCX":
             if not qubits:
                 raise ValueError("MCX needs a target qubit")
@@ -87,14 +93,24 @@ class Gate:
             if polarities.count(OPEN) + polarities.count(CLOSED) != len(polarities):
                 bad = next(p for p in polarities if p not in (OPEN, CLOSED))
                 raise ValueError(f"unknown control polarity {bad!r}")
-        elif len(qubits) != len(GATE_OPERANDS[kind]):
-            raise ValueError(f"{kind} takes {len(GATE_OPERANDS[kind])} qubit(s), got {qubits}")
-        elif polarities:
+        elif len(qubits) != _ARITY.get(kind) or polarities:
+            if kind not in GATE_KINDS:
+                raise ValueError(f"unknown gate kind {kind!r}")
+            if len(qubits) != _ARITY[kind]:
+                raise ValueError(f"{kind} takes {_ARITY[kind]} qubit(s), got {qubits}")
             raise ValueError(f"{kind} takes no polarities")
-        if min(qubits) < 0:
+        try:
+            negative = min(map(index, qubits)) < 0
+        except TypeError:
+            bad = next(q for q in qubits if not hasattr(q, "__index__"))
+            raise ValueError(f"qubit index must be an integer, got {bad!r}") from None
+        if negative:
             raise ValueError(f"negative qubit index in {qubits}")
-        if len(set(qubits)) != len(qubits):
+        if len(qubits) > 1 and len(set(qubits)) != len(qubits):
             raise ValueError(f"repeated qubit index in {qubits}")
+        _set_kind(self, kind)
+        _set_qubits(self, qubits)
+        _set_polarities(self, polarities)
 
     @property
     def target(self) -> int:
@@ -109,6 +125,11 @@ class Gate:
         if self.kind == "MCX":
             return tuple(zip(self.qubits[:-1], self.polarities))
         raise AttributeError(f"{self.kind} has no controls")
+
+
+# the slots' own setters write a frozen Gate's fields, as object.__setattr__
+# would, at less cost per call
+_set_kind, _set_qubits, _set_polarities = (Gate.kind.__set__, Gate.qubits.__set__, Gate.polarities.__set__)
 
 
 def h(qubit: int) -> Gate:
@@ -145,12 +166,13 @@ class Statevector:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes)
-        amps = amps.astype(np.complex128 if np.iscomplexobj(amps) else np.float64, copy=False)
+        amps = amps.astype(np.complex128 if amps.dtype.kind == "c" else np.float64, copy=False)
         if amps.ndim != 1 or amps.size != 1 << self.n_qubits:
             raise ValueError(
                 f"expected 2**{self.n_qubits} amplitudes, got shape {amps.shape}"
             )
-        norm = np.linalg.norm(amps)
+        # the 2-norm as np.linalg.norm takes it, without its dispatch
+        norm = math.sqrt(np.vdot(amps, amps).real)
         # written so that a NaN norm fails the check
         if not abs(norm - 1.0) <= _NORM_TOL:
             raise NormalizationError(f"state norm {norm} is not 1")
@@ -168,9 +190,9 @@ def basis_state(n_qubits: int, index: int = 0) -> Statevector:
 
 def check_register(gates, n_qubits: int) -> None:
     """ValueError unless every gate's qubits lie below the register width."""
-    for gate in gates:
-        if max(gate.qubits) >= n_qubits:
-            raise ValueError(f"gate {gate.kind} on {gate.qubits} exceeds {n_qubits} qubits")
+    if max(chain.from_iterable(map(_QUBITS, gates)), default=-1) >= n_qubits:
+        gate = next(g for g in gates if max(g.qubits) >= n_qubits)
+        raise ValueError(f"gate {gate.kind} on {gate.qubits} exceeds {n_qubits} qubits")
 
 
 def _apply_inplace(amps: np.ndarray, gate: Gate) -> None:
@@ -207,29 +229,28 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
 
 
 def _runs(gates):
-    """Split a gate list into maximal layers, in order.
+    """Split a gate list into layers, in order, as (kind, run) pairs.
 
-    A layer is a run of H gates on distinct qubits, a run of X/CNOT/SWAP
-    gates, or a run of MCX gates on one target. Distinct qubits make an H
-    run one Kronecker product of Hadamard blocks; no gate of an MCX run
-    controls on the shared target, so the run's gates commute and XOR.
+    A layer is a run of X/CNOT/SWAP gates of one kind, a run of MCX gates on
+    one target, or a run of H gates on distinct qubits, given as the list of
+    those qubits. Distinct qubits make an H run one Kronecker product of
+    Hadamard blocks; no gate of an MCX run controls on the shared target, so
+    the run's gates commute and XOR.
     """
-    run, seen = [], set()  # seen: the operands in the run, for H distinctness
-    for gate in gates:
-        kind = run[0].kind if run else None
-        if kind == "H":
-            joins = gate.kind == "H" and gate.qubits not in seen
-        elif kind == "MCX":
-            joins = gate.kind == "MCX" and gate.qubits[-1] == run[0].qubits[-1]
+    for kind, group in groupby(gates, _KIND):
+        if kind == "MCX":
+            for _, run in groupby(group, _TARGET):
+                yield kind, list(run)
+        elif kind == "H":
+            run = []
+            for gate in group:
+                if gate.qubits[0] in run:
+                    yield kind, run
+                    run = []
+                run.append(gate.qubits[0])
+            yield kind, run
         else:
-            joins = kind in _PERMUTATION_KINDS and gate.kind in _PERMUTATION_KINDS
-        if not joins and run:
-            yield run
-            run, seen = [], set()
-        run.append(gate)
-        seen.add(gate.qubits)
-    if run:
-        yield run
+            yield kind, list(group)
 
 
 class _PendingMap:
@@ -238,38 +259,29 @@ class _PendingMap:
     Every such gate is an affine involution of the index bits, so the run
     so far is affine over GF(2). The amplitude it would put at index j still
     sits at source(j) = A j ^ offset; columns[b] = A e_b, and composing one
-    more gate on the right is O(1). The inverse, the index forward(i) =
-    B i ^ image that amplitude i would move to, is held by the rows of B =
-    A^-1: bit q of B i is the parity of rows[q] & i, and composing a gate on
-    the left is O(1) too.
+    more gate on the right is O(1).
     """
 
     def __init__(self, n_qubits: int):
-        self.columns = [1 << b for b in range(n_qubits)]
-        self.rows = list(self.columns)
+        self.identity = [1 << b for b in range(n_qubits)]
+        self.columns = list(self.identity)
         self.offset = 0
-        self.image = 0
 
     def flips_only(self) -> bool:
-        # A = I makes B = I, so the rows need no check
-        return self.columns == [1 << b for b in range(len(self.columns))]
+        return self.columns == self.identity
 
-    def compose(self, gate: Gate) -> None:
-        if gate.kind == "X":
-            q = gate.qubits[0]
-            self.offset ^= self.columns[q]
-            self.image ^= 1 << q
-        elif gate.kind == "CNOT":
-            control, target = gate.qubits
-            self.columns[control] ^= self.columns[target]
-            self.rows[target] ^= self.rows[control]
-            self.image ^= ((self.image >> control) & 1) << target
-        else:
-            a, b = gate.qubits
-            self.columns[a], self.columns[b] = self.columns[b], self.columns[a]
-            self.rows[a], self.rows[b] = self.rows[b], self.rows[a]
-            if ((self.image >> a) ^ (self.image >> b)) & 1:
-                self.image ^= (1 << a) | (1 << b)
+    def compose(self, run: list[Gate]) -> None:
+        """Compose a run of X/CNOT/SWAP gates on the right, in order."""
+        columns = self.columns
+        for gate in run:
+            if gate.kind == "X":
+                self.offset ^= columns[gate.qubits[0]]
+            elif gate.kind == "CNOT":
+                control, target = gate.qubits
+                columns[control] ^= columns[target]
+            else:
+                a, b = gate.qubits
+                columns[a], columns[b] = columns[b], columns[a]
 
     def source_index(self) -> np.ndarray:
         """Gather index of the map: out[j] = in[source[j]]."""
@@ -283,7 +295,7 @@ class _PendingMap:
         of the amplitudes reshaped to one axis per qubit; any other map is
         one gather.
         """
-        n = len(self.rows)
+        n = len(self.columns)
         if not self.flips_only():
             np.take(amps, self.source_index(), out=spare)
         elif self.offset:
@@ -293,76 +305,96 @@ class _PendingMap:
             np.copyto(spare.reshape(shape), np.flip(amps.reshape(shape), flipped))
         else:
             return amps, spare
-        self.__init__(n)
+        self.columns, self.offset = list(self.identity), 0
         return spare, amps
 
     def fire_mask(self, run: list[Gate], t: int) -> np.ndarray:
         """Where an MCX run on target t fires, over the indices with bit t clear.
 
         Entry i, bit t dropped, holds whether an odd number of the run's
-        control predicates hold on forward(i). Valid only while the map fixes
-        the target (columns[t] == 1 << t): then forward(i) and forward(i ^
-        e_t) differ in bit t alone, and the run is a masked swap of the two.
+        control predicates hold on the index j that source(j) = i. Valid only
+        while the map fixes the target (columns[t] == 1 << t): then source(j
+        ^ e_t) = source(j) ^ e_t, and the run is a masked swap of the two.
         The predicates are toggled as strided sub-cubes of a table over the
-        other n - 1 qubits, read once through the inverse map's columns.
+        other n - 1 qubits, which is scattered once through the map's own
+        columns.
         """
-        n = len(self.rows)
+        n = len(self.columns)
+        table = np.zeros((2,) * (n - 1), dtype=bool)
+        # the trailing ... keeps a 0-d view when every axis is fixed
+        every_axis = [slice(None)] * (n - 1) + [...]
+        # qubit q is bit q - (q > t) once bit t is deleted, on the axis that
+        # many places from the last
+        axis = [n - 2 - q + (q > t) for q in range(n)]
+        for gate in run:
+            at = every_axis.copy()
+            for q, polarity in zip(gate.qubits, gate.polarities):
+                at[axis[q]] = _BIT[polarity]
+            cube = table[tuple(at)]
+            np.logical_not(cube, out=cube)
+        table = table.reshape(-1)
+        if not self.offset and self.flips_only():
+            return table
+        low = (1 << t) - 1
 
         def packed(index):  # index with bit t deleted
-            return (index & ((1 << t) - 1)) | (index >> (t + 1) << t)
+            return index & low | index >> 1 & ~low
 
-        table = np.zeros((2,) * (n - 1), dtype=bool)
-        for gate in run:
-            at = [slice(None)] * (n - 1)
-            for q, polarity in gate.controls:
-                # qubit q is bit q - (q > t) once bit t is deleted
-                at[n - 2 - q + (q > t)] = int(polarity == CLOSED)
-            cube = table[(*at, ...)]
-            np.logical_not(cube, out=cube)
-        if not self.offset and self.flips_only():
-            return table.reshape(-1)
-        inverse_columns = [packed(sum(((row >> b) & 1) << q for q, row in enumerate(self.rows)))
-                           for b in range(n) if b != t]
-        return table.reshape(-1)[gf2_index(inverse_columns, packed(self.image))]
+        columns = [packed(c) for c in self.columns[:t] + self.columns[t + 1:]]
+        mask = np.empty_like(table)
+        mask[gf2_index(columns, packed(self.offset))] = table
+        return mask
 
 
 def _masked_half_swap(amps: np.ndarray, spare: np.ndarray, mask: np.ndarray, t: int) -> None:
     """Exchange amplitude i with i ^ (1 << t) wherever mask fires, in place.
 
-    mask is indexed like the amplitudes with bit t clear, bit t dropped;
-    spare holds the outgoing half.
+    mask is indexed like the amplitudes with bit t clear, bit t dropped. The
+    exchange is an XOR swap of the amplitudes' 64-bit words, so it moves
+    bits exactly: spare holds d = lo ^ hi where mask fires and 0 elsewhere,
+    then lo ^= d and hi ^= d.
     """
-    view = amps.reshape(-1, 2, 1 << t)
-    lo, hi = view[:, 0, :], view[:, 1, :]
-    mask = mask.reshape(lo.shape)
-    held = spare[: mask.size].reshape(lo.shape)
-    np.copyto(held, lo, where=mask)
-    np.copyto(lo, hi, where=mask)
-    np.copyto(hi, held, where=mask)
+    words = amps.view(np.uint64).reshape(-1, 2, 1 << t, amps.itemsize // 8)
+    lo, hi = words[:, 0], words[:, 1]
+    d = spare.view(np.uint64)[: lo.size].reshape(lo.shape)
+    np.bitwise_xor(lo, hi, out=d)
+    d *= mask.reshape(*lo.shape[:2], 1)
+    lo ^= d
+    hi ^= d
 
 
 def run_circuit(state: Statevector, circuit) -> Statevector:
-    """Apply a circuit's gates in order, compiled into layers (module docstring)."""
+    """Apply a circuit's gates in order, compiled into layers (module docstring).
+
+    The input amplitudes are read, never written: the first layer that
+    moves them writes a buffer of its own, and they are copied only where
+    an MCX run or the end of the circuit comes first.
+    """
     n = state.n_qubits
     if circuit.n_qubits != n:
         raise ValueError(f"circuit on {circuit.n_qubits} qubits, state on {n}")
-    amps = state.amplitudes.copy()
+    source = amps = state.amplitudes
     spare = np.empty_like(amps)
     pending = _PendingMap(n)
-    for run in _runs(circuit.gates):
-        kind, t = run[0].kind, run[0].qubits[-1]
-        if kind == "H":
+    for kind, run in _runs(circuit.gates):
+        if kind in _PERMUTATION_KINDS:
+            pending.compose(run)
+            continue
+        t = run[0].qubits[-1] if kind == "MCX" else None
+        if kind == "H" or pending.columns[t] != 1 << t:
             amps, spare = pending.flush(amps, spare)
-            amps, spare = _hadamard_layer(amps, spare, [g.qubits[0] for g in run], 2 ** (-len(run) / 2))
-        elif kind == "MCX":
-            if pending.columns[t] != 1 << t:
-                amps, spare = pending.flush(amps, spare)
-            _masked_half_swap(amps, spare, pending.fire_mask(run, t), t)
+        if spare is source:
+            spare = np.empty_like(amps)
+        if kind == "H":
+            # a layer reading the input writes two buffers of its own in turn
+            back = np.empty_like(amps) if amps is source else None
+            amps, spare = _hadamard_layer(amps, spare, run, 2 ** (-len(run) / 2), back)
         else:
-            for gate in run:
-                pending.compose(gate)
-    amps, spare = pending.flush(amps, spare)
-    return Statevector(n, amps)
+            if amps is source:
+                amps = amps.copy()
+            _masked_half_swap(amps, spare, pending.fire_mask(run, t), t)
+    amps, _ = pending.flush(amps, spare)
+    return Statevector(n, amps.copy() if amps is source else amps)
 
 
 def amplitude_encode(signal) -> tuple[Statevector, float]:
@@ -401,6 +433,7 @@ def project_ancilla(state: Statevector, qubit: int, outcome: int) -> tuple[np.nd
     """
     if not 0 <= qubit < state.n_qubits:
         raise ValueError(f"qubit {qubit} out of range for {state.n_qubits}")
+    outcome = check_int(outcome, "outcome")
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
     branch = state.amplitudes.reshape(-1, 2, 1 << qubit)[:, outcome, :].flatten()

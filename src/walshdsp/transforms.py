@@ -200,8 +200,12 @@ def zero_crossings_bruteforce(s: int, n: int) -> int:
 def gf2_index(columns, offset: int = 0) -> np.ndarray:
     """Entry j is offset XOR the columns picked by the bits of j, j < 2**len(columns)."""
     def span(cols, base):
-        table = np.array([base], dtype=np.intp)
-        for col in cols:
+        # Python ints while the table is short, numpy doublings after
+        table = [base]
+        for col in cols[:6]:
+            table += [entry ^ col for entry in table]
+        table = np.array(table, dtype=np.intp)
+        for col in cols[6:]:
             table = np.concatenate([table, table ^ col])
         return table
 
@@ -232,33 +236,43 @@ def _hadamard(g: int) -> np.ndarray:
 _HADAMARD_BLOCKS = tuple(_hadamard(g) for g in range(_BLOCK_QUBITS + 1))
 
 
-def _hadamard_layer(a: np.ndarray, spare: np.ndarray, qubits, scale: float = 1.0):
-    """scale times the unnormalized H on distinct index bits; returns the swapped pair.
+def _hadamard_layer(a: np.ndarray, spare: np.ndarray, qubits, scale: float = 1.0, back=None):
+    """scale times the unnormalized H on distinct index bits; returns the result and a free buffer.
 
     The sorted bits are cut into blocks of at most _BLOCK_QUBITS consecutive
     bits (Good's interaction algorithm). A block of g bits from bit lo
     multiplies the middle axis of the (outer, 2**g, 2**lo) view by its sign
     matrix, scale folded into the last one (from the right on (rows, 2**g)
-    when lo = 0), in BLAS products of at most _BLOCK_COLUMNS columns (rows),
-    reading one buffer and writing the other. Real or complex a.
+    when lo = 0), in BLAS products of at most _BLOCK_COLUMNS columns (rows).
+    The first block reads a; the blocks write spare and back in turn, back
+    being a itself unless another buffer is given, which leaves a unwritten.
+    Real or complex a.
     """
-    blocks: list[list[int]] = []  # [lowest bit, width]
-    for q in sorted(qubits):
-        if blocks and blocks[-1][0] + blocks[-1][1] == q and blocks[-1][1] < _BLOCK_QUBITS:
-            blocks[-1][1] += 1
-        else:
-            blocks.append([q, 1])
-    for i, (lo, g) in enumerate(blocks):
-        matrix = _HADAMARD_BLOCKS[g] * (scale if i == len(blocks) - 1 else 1.0)
+    qubits = sorted(qubits)
+    blocks = []  # (lowest bit, width)
+    lo, g = qubits[0], 0
+    for q in qubits:
+        if q != lo + g or g == _BLOCK_QUBITS:
+            blocks.append((lo, g))
+            lo, g = q, 0
+        g += 1
+    blocks.append((lo, g))
+    back = a if back is None else back
+    for i, (lo, g) in enumerate(blocks, 1 - len(blocks)):
+        matrix = _HADAMARD_BLOCKS[g]
+        if i == 0 and scale != 1.0:  # the last block
+            matrix = matrix * scale
         if lo == 0:
             shape = (-1, min(a.size >> g, _BLOCK_COLUMNS), 1 << g)
             np.matmul(a.reshape(shape), matrix, out=spare.reshape(shape))
+        elif 1 << lo <= _BLOCK_COLUMNS:
+            shape = (-1, 1 << g, 1 << lo)
+            np.matmul(matrix, a.reshape(shape), out=spare.reshape(shape))
         else:
-            columns = min(1 << lo, _BLOCK_COLUMNS)
-            shape = (-1, 1 << g, (1 << lo) // columns, columns)
+            shape = (-1, 1 << g, (1 << lo) // _BLOCK_COLUMNS, _BLOCK_COLUMNS)
             np.matmul(matrix, a.reshape(shape).transpose(0, 2, 1, 3),
                       out=spare.reshape(shape).transpose(0, 2, 1, 3))
-        a, spare = spare, a
+        a, spare, back = spare, back, spare
     return a, spare
 
 

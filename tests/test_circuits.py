@@ -497,6 +497,17 @@ def test_circuit_from_dict_rejects_foreign_format():
         qc.circuit_from_dict({"format": "other", "n_qubits": 1, "gates": []})
 
 
+@pytest.mark.parametrize("version", [None, 0, 2, 99, "1"])
+def test_circuit_from_dict_rejects_other_versions(version):
+    record = qc.circuit_to_dict(qc.build_uz(3))
+    if version is None:
+        del record["version"]
+    else:
+        record["version"] = version
+    with pytest.raises(ValueError, match="version"):
+        qc.circuit_from_dict(record)
+
+
 def test_circuit_validates_gate_range():
     # one rule, one message, whether the gate is built into a circuit or applied
     with pytest.raises(ValueError) as built:

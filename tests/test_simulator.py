@@ -390,18 +390,102 @@ def test_h_run_blocks_match_gate_fold(circuit, complex_state, seed):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_uz_gather_index_is_the_inverse_sequency_map(n):
     # uz sends |s> to |sequency_of(s)>: its pending map gathers amplitude g
-    # from natural position inverse[g], and its inverse rows send s to
-    # forward[s]
+    # from natural position inverse[g], so scattering through the same
+    # index (as the fire mask does) sends s to forward[s]
     pending = sim._PendingMap(n)
-    for gate in build_uz(n).gates:
-        pending.compose(gate)
+    pending.compose(build_uz(n).gates)
     forward, inverse = natural_to_sequency_perm(n)
     source = pending.source_index()
     assert source.dtype == inverse.dtype
     assert np.array_equal(source, inverse)
-    s = np.arange(1 << n)
-    image = sum((np.bitwise_count(row & s).astype(np.intp) & 1) << q for q, row in enumerate(pending.rows))
-    assert np.array_equal(image ^ pending.image, forward)
+    image = np.empty_like(source)
+    image[source] = np.arange(1 << n)
+    assert np.array_equal(image, forward)
+
+
+@st.composite
+def prefixed_mcx_runs(draw):
+    """An X/CNOT/SWAP prefix on up to 8 qubits, then one to three MCX runs.
+
+    Each run's target is drawn from the qubits the prefix's map fixes, where
+    the run is one masked swap through the scattered fire mask, or from those
+    it moves, where the map is flushed first; an X on a fixed target leaves it
+    fixed and only sets the map's offset there.
+    """
+    n = draw(st.integers(2, 8))
+    qubit = st.integers(0, n - 1)
+    prefix = []
+    for _ in range(draw(st.integers(0, 3 * n))):
+        pick = draw(st.sampled_from(["X", "CNOT", "SWAP"]))
+        if pick == "X":
+            prefix.append(sim.x(draw(qubit)))
+        else:
+            a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            prefix.append(sim.cnot(a, b) if pick == "CNOT" else sim.swap(a, b))
+    pending = sim._PendingMap(n)
+    pending.compose(prefix)
+    fixed = [q for q in range(n) if pending.columns[q] == 1 << q]
+    moved = [q for q in range(n) if q not in fixed]
+    runs = []
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.sampled_from(fixed if fixed and (not moved or draw(st.booleans())) else moved))
+        others = [q for q in range(n) if q != target]
+        for _ in range(draw(st.integers(1, 4))):
+            controls = draw(st.lists(st.sampled_from(others), unique=True))
+            polarities = draw(st.lists(st.sampled_from([sim.OPEN, sim.CLOSED]),
+                                       min_size=len(controls), max_size=len(controls)))
+            runs.append(sim.mcx(list(zip(controls, polarities)), target))
+    return Circuit(n, tuple(prefix + runs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(prefixed_mcx_runs(), st.booleans(), st.integers(0, 2**32 - 1))
+# uz on the seven low qubits and a selector-like run on the top one, as in a
+# filter circuit, with an X setting the offset's bit at the target
+@example(Circuit(8, (*build_uz(7).gates, sim.x(7), sim.mcx([(6, sim.OPEN), (5, sim.CLOSED)], 7),
+                     sim.mcx([(0, sim.CLOSED)], 7))), False, 0)
+# a fixed target in the middle, the map moving bits on both sides of it
+@example(Circuit(5, (sim.cnot(0, 1), sim.swap(3, 4), sim.cnot(4, 0), sim.x(2),
+                     sim.mcx([(1, sim.OPEN), (4, sim.CLOSED)], 2), sim.mcx([], 2))), True, 1)
+# a moved target: the map is flushed before the run
+@example(Circuit(3, (sim.cnot(2, 0), sim.mcx([(1, sim.CLOSED)], 0))), True, 2)
+def test_fire_mask_through_the_pending_map_matches_gate_fold(circuit, complex_state, seed):
+    # every gate here only moves amplitudes, so the compiled path must give
+    # the fold's bits exactly
+    rng = np.random.default_rng(seed)
+    size = 1 << circuit.n_qubits
+    amps = rng.standard_normal(size)
+    if complex_state:
+        amps = amps + 1j * rng.standard_normal(size)
+    state = sim.Statevector(circuit.n_qubits, amps / np.linalg.norm(amps))
+    folded = functools.reduce(sim.apply_gate, circuit.gates, state)
+    assert np.array_equal(sim.run_circuit(state, circuit).amplitudes, folded.amplitudes)
+
+
+INPUT_LAYER_CIRCUITS = {
+    "empty": Circuit(3, ()),
+    "H first": Circuit(3, (sim.h(0), sim.h(2), sim.cnot(0, 1), sim.h(1))),
+    "flip first": Circuit(3, (sim.x(2), sim.x(0), sim.h(1))),
+    "flip only": Circuit(3, (sim.x(1),)),
+    "gather first": Circuit(3, (sim.cnot(0, 2), sim.swap(1, 2), sim.h(0))),
+    "MCX first": Circuit(3, (sim.mcx([(0, sim.CLOSED)], 2), sim.h(1), sim.mcx([(1, sim.OPEN)], 0))),
+    "identity map": Circuit(3, (sim.swap(0, 1), sim.swap(0, 1))),
+}
+
+
+@pytest.mark.parametrize("make_state", [random_real_state, random_state])
+@pytest.mark.parametrize("name", INPUT_LAYER_CIRCUITS)
+def test_run_circuit_never_writes_or_returns_its_input(make_state, name):
+    # the first layer reads the input directly, so nothing may write it, and
+    # the result must not share its memory even when no gate moves anything
+    circuit = INPUT_LAYER_CIRCUITS[name]
+    state = make_state(3)
+    before = state.amplitudes.copy()
+    out = sim.run_circuit(state, circuit)
+    assert np.array_equal(state.amplitudes, before)
+    assert not np.shares_memory(out.amplitudes, state.amplitudes)
+    folded = functools.reduce(sim.apply_gate, circuit.gates, state)
+    assert_allclose(out.amplitudes, folded.amplitudes, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -546,6 +630,22 @@ def test_project_ancilla_middle_qubit_ordering():
     assert p == 1.0
 
 
+@pytest.mark.parametrize("outcome", [True, 1.0, np.int64(1)])
+def test_project_ancilla_reads_an_integral_outcome(outcome):
+    # a bool used to index a new axis and return the whole state
+    state = random_state(3)
+    branch, p = sim.project_ancilla(state, 1, outcome)
+    want, p_want = sim.project_ancilla(state, 1, 1)
+    assert branch.shape == (4,)
+    assert np.array_equal(branch, want) and p == p_want
+
+
+@pytest.mark.parametrize("outcome", [0.5, "1", None])
+def test_project_ancilla_rejects_a_non_integral_outcome(outcome):
+    with pytest.raises(ValueError, match="outcome must be an integer"):
+        sim.project_ancilla(random_state(2), 1, outcome)
+
+
 def test_project_ancilla_probabilities_sum():
     state = random_state(5)
     _, p0 = sim.project_ancilla(state, 4, 0)
@@ -581,6 +681,15 @@ def test_gate_validation():
         sim.Gate("H", (0, 1))
     with pytest.raises(ValueError):
         sim.Gate("X", (-1,))
+    # a float index used to construct and then fail in a shift inside run_circuit
+    for make in (lambda: sim.h(1.5), lambda: sim.h(np.float64(1.0)), lambda: sim.cnot(0, 1.0),
+                 lambda: sim.mcx([(np.float32(0.0), sim.OPEN)], 1), lambda: sim.Gate("SWAP", (0, "1"))):
+        with pytest.raises(ValueError, match="qubit index must be an integer"):
+            make()
+    # numpy integers stay accepted
+    gate = sim.cnot(np.int64(0), np.int32(2))
+    assert gate == sim.cnot(0, 2)
+    assert sim.run_circuit(sim.basis_state(3, 1), Circuit(3, (gate,))).amplitudes[5] == 1.0
 
 
 def test_basis_state_range_check():
