@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from operator import index
 
 from walshdsp.simulator import CLOSED, GATE_KINDS, GATE_OPERANDS, OPEN, Gate, check_register, cnot, h, swap, x
-from walshdsp.transforms import check_bits, check_int
+from walshdsp.transforms import check_bits, check_index, check_int
 
 _POLARITY_OF_BIT = {"0": OPEN, "1": CLOSED}
 
@@ -45,6 +45,7 @@ class Circuit:
     label: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", check_index(self.n_qubits, "qubit count"))
         object.__setattr__(self, "gates", tuple(self.gates))
         check_register(self.gates, self.n_qubits)
 
@@ -91,8 +92,8 @@ def build_uz_inverse(n: int) -> Circuit:
 
 def build_sequency_wht(n: int) -> Circuit:
     """H on every qubit, then the sequency reordering."""
-    gates = [h(q) for q in range(n)] + _uz_gates(n)
-    return Circuit(n, tuple(gates), f"sequency-wht(n={n})")
+    uz = _uz_gates(n)  # checks n first
+    return Circuit(n, tuple([h(q) for q in range(n)] + uz), f"sequency-wht(n={n})")
 
 
 def _normalize_intervals(intervals, size: int) -> list[tuple[int, int]]:

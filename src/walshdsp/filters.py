@@ -212,10 +212,11 @@ def compare(a, b) -> dict[str, float]:
 
     l2_rel divides by the norm of b (the reference); if that norm is zero the
     ratio degenerates to 0 when the difference is zero too, else infinity.
-    ValueError on a nan or inf entry.
+    Raw arrays are read as time_series reads them. ValueError on a nan or inf
+    entry, a complex array or one that is not 1-D.
     """
-    av = a.values if isinstance(a, Coefficients) else np.asarray(a, dtype=np.float64)
-    bv = b.values if isinstance(b, Coefficients) else np.asarray(b, dtype=np.float64)
+    av = a.values if isinstance(a, Coefficients) else time_series(a).values
+    bv = b.values if isinstance(b, Coefficients) else time_series(b).values
     if av.size != bv.size:
         raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
     # measured in peak units, so that the norms of huge or tiny signals

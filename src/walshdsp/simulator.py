@@ -35,7 +35,7 @@ where it must:
 The layers come from the gate list alone. apply_gate keeps the per-gate
 index-array kernel as the slow reference the compiled path is tested
 against. The H kernel is shared with the classical transforms, so the tests
-and verify check it against the radix-2 butterflies and the sequency matrix.
+and verify check it against this gate fold and the sequency matrix.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from operator import attrgetter, index
 
 import numpy as np
 
-from walshdsp.transforms import _hadamard_layer, check_int, gf2_index, peak_units, time_signal
+from walshdsp.transforms import _hadamard_layer, check_index, check_int, gf2_index, peak_units, time_signal
 
 OPEN = "open"
 CLOSED = "closed"
@@ -165,9 +165,10 @@ class Statevector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        n = check_index(self.n_qubits, "qubit count")
         amps = np.asarray(self.amplitudes)
         amps = amps.astype(np.complex128 if amps.dtype.kind == "c" else np.float64, copy=False)
-        if amps.ndim != 1 or amps.size != 1 << self.n_qubits:
+        if amps.ndim != 1 or amps.size != 1 << n:
             raise ValueError(
                 f"expected 2**{self.n_qubits} amplitudes, got shape {amps.shape}"
             )
@@ -176,11 +177,13 @@ class Statevector:
         # written so that a NaN norm fails the check
         if not abs(norm - 1.0) <= _NORM_TOL:
             raise NormalizationError(f"state norm {norm} is not 1")
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "amplitudes", amps)
 
 
 def basis_state(n_qubits: int, index: int = 0) -> Statevector:
     """The computational basis state |index> on n_qubits qubits."""
+    n_qubits, index = check_index(n_qubits, "qubit count"), check_index(index, "basis index")
     if not 0 <= index < (1 << n_qubits):
         raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
     amps = np.zeros(1 << n_qubits)
@@ -283,21 +286,17 @@ class _PendingMap:
                 a, b = gate.qubits
                 columns[a], columns[b] = columns[b], columns[a]
 
-    def source_index(self) -> np.ndarray:
-        """Gather index of the map: out[j] = in[source[j]]."""
-        return gf2_index(self.columns, self.offset)
-
     def flush(self, amps: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Apply the map into spare, unless it is the identity; returns the
         swapped pair and leaves the map empty.
 
         A map that only flips bits is a copy through np.flip over their axes
         of the amplitudes reshaped to one axis per qubit; any other map is
-        one gather.
+        one gather, out[j] = amps[source(j)].
         """
         n = len(self.columns)
         if not self.flips_only():
-            np.take(amps, self.source_index(), out=spare)
+            np.take(amps, gf2_index(self.columns, self.offset), out=spare)
         elif self.offset:
             shape = (2,) * n
             # the qubit-q axis of the reshaped view is axis n-1-q
@@ -431,6 +430,7 @@ def project_ancilla(state: Statevector, qubit: int, outcome: int) -> tuple[np.nd
     the caller on purpose, so branch amplitudes stay directly comparable to
     classically computed components.
     """
+    qubit = check_index(qubit, "qubit")
     if not 0 <= qubit < state.n_qubits:
         raise ValueError(f"qubit {qubit} out of range for {state.n_qubits}")
     outcome = check_int(outcome, "outcome")

@@ -13,15 +13,19 @@ Conventions used throughout the package:
 
 The package's input rules live here. A signal holds 2**n samples, n >= 1:
 check_bits is the one floor on n and bit_width the one length check, so a
-1-sample signal and n < 1 raise the same SizingError; check_int is the one
-integer rule. Sums and norms are taken in peak units (peak_units, an exact
-power-of-two rescaling that rejects nan and inf), so finite samples near the
-float64 limit give finite coefficients; a coefficient that float64 cannot
-hold raises ValueError.
+1-sample signal and n < 1 raise the same SizingError. check_int is the one
+rule for integral values read from outside (4.0 passes), check_index the
+one rule for register quantities (ints and numpy integers only). Samples
+are real: a complex array is a ValueError, not a silent real part. Sums and
+norms are taken in peak units (peak_units, an exact power-of-two rescaling
+that rejects nan and inf), so finite samples near the float64 limit give
+finite coefficients; a coefficient that float64 cannot hold raises
+ValueError.
 
 _hadamard_layer is the package's one H kernel, shared with the simulator;
 the classical transforms run it over all n bits, then multiply once by
-1/sqrt(N). The radix-2 butterflies of _fwht_inplace are the tests' oracle.
+1/sqrt(N). The tests check it against the dense sequency matrix and a fold
+of the simulator's one-qubit H gates.
 
 The sequency map (prefix XORs of the index bits, in reversed bit order) and
 its inverse are GF(2)-linear; gf2_index builds both and the simulator's
@@ -32,6 +36,7 @@ dense sequency matrix, refuse bit widths above BRUTE_FORCE_BOUND.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +74,10 @@ class Coefficients:
     order_tag: str = TIME
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.asarray(self.values)
+        if vals.dtype.kind == "c":
+            raise ValueError(f"expected real samples, got {vals.dtype} values")
+        vals = vals.astype(np.float64, copy=False)
         if vals.ndim != 1:
             raise ValueError(f"expected a 1-D vector, got shape {vals.shape}")
         if self.order_tag not in _ORDER_TAGS:
@@ -82,15 +90,32 @@ class Coefficients:
 
 def time_series(values) -> Coefficients:
     """Wrap raw samples as a time-ordered coefficient vector."""
-    return Coefficients(np.asarray(values, dtype=np.float64), TIME)
+    return Coefficients(values, TIME)
 
 
 def _as_coefficients(v) -> Coefficients:
     return v if isinstance(v, Coefficients) else time_series(v)
 
 
+def check_index(value, what: str) -> int:
+    """value as an int if it is an int or a numpy integer; ValueError otherwise.
+
+    The rule for register quantities (bit widths, qubit counts, qubits and
+    basis indices), which operator.index applies: unlike check_int it
+    refuses 3.0, so a float never stands in for a count.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def check_bits(n: int) -> int:
-    """n itself if it is a usable bit width (at least 1); SizingError otherwise."""
+    """n as an int if it is a usable bit width (an integer, at least 1).
+
+    ValueError for a non-integer, SizingError for an integer below 1.
+    """
+    n = check_index(n, "bit width")
     if n < 1:
         raise SizingError(f"bit width must be at least 1 (2 samples), got {n}")
     return n
@@ -140,9 +165,9 @@ def peak_units(*arrays: np.ndarray) -> tuple[float, list[np.ndarray]]:
     return unit, [a / unit for a in arrays]
 
 
-def _check_index(s: int, n: int) -> None:
+def _check_row(s: int, n: int) -> None:
     check_bits(n)
-    if not 0 <= s < (1 << n):
+    if not 0 <= check_index(s, "index") < (1 << n):
         raise ValueError(f"index {s} out of range for {n} bits")
 
 
@@ -152,7 +177,7 @@ def sequency_of(s: int, n: int) -> int:
     Bit k of the result is the XOR of the low n-k bits of s, i.e. the prefix
     XORs of the index bits written back in reversed bit positions.
     """
-    _check_index(s, n)
+    _check_row(s, n)
     g = 0
     acc = 0
     for j in range(n):
@@ -168,7 +193,7 @@ def sequency_recursion_trace(s: int, n: int) -> list[int]:
     index: each step doubles the previous value and adds the running XOR of
     the bits consumed so far. The final entry equals sequency_of(s, n).
     """
-    _check_index(s, n)
+    _check_row(s, n)
     trace = []
     z = 0
     acc = 0
@@ -185,7 +210,7 @@ def zero_crossings_bruteforce(s: int, n: int) -> int:
     Materializes F(k) = (-1)^(s.k) for all k < 2**n and counts the changes as
     half the sum of |F(k+1) - F(k)|. Cost is O(2**n), hence the bound guard.
     """
-    _check_index(s, n)
+    _check_row(s, n)
     if n > BRUTE_FORCE_BOUND:
         raise ValueError(f"bit width {n} exceeds brute-force bound {BRUTE_FORCE_BOUND}")
     k = np.arange(1 << n)
@@ -217,10 +242,12 @@ def natural_to_sequency_perm(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Forward and inverse permutation between natural and sequency positions.
 
     forward[s] = sequency_of(s, n) and its inverse are GF(2)-linear maps built
-    from the images of the unit indices; the inverse sends 1 << j to 3 << (n-1-j).
+    from the images of the unit indices: forward sends 1 << j to
+    (1 << (n-j)) - 1, the prefix XORs of a single bit, and the inverse sends
+    1 << j to 3 << (n-1-j), truncated to n bits.
     """
     check_bits(n)
-    forward = gf2_index([sequency_of(1 << j, n) for j in range(n)])
+    forward = gf2_index([(1 << (n - j)) - 1 for j in range(n)])
     inverse = gf2_index([(3 << (n - 1 - j)) & ((1 << n) - 1) for j in range(n)])
     return forward, inverse
 
@@ -274,21 +301,6 @@ def _hadamard_layer(a: np.ndarray, spare: np.ndarray, qubits, scale: float = 1.0
                       out=spare.reshape(shape).transpose(0, 2, 1, 3))
         a, spare, back = spare, back, spare
     return a, spare
-
-
-def _fwht_inplace(a: np.ndarray) -> None:
-    """Unscaled natural-order radix-2 butterflies in place; the tests' oracle.
-
-    One stage runs per index bit of a.size, in increasing order; the stage
-    for bit q pairs the entries whose indices differ only in bit q (stride
-    2**q). Works on real and complex arrays alike.
-    """
-    for q in range(a.size.bit_length() - 1):
-        view = a.reshape(-1, 2, 1 << q)
-        top = view[:, 0, :].copy()
-        bottom = view[:, 1, :]
-        np.add(top, bottom, out=view[:, 0, :])
-        np.subtract(top, bottom, out=bottom)
 
 
 def _in_peak_units(values: np.ndarray, linear) -> np.ndarray:

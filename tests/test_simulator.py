@@ -395,7 +395,7 @@ def test_uz_gather_index_is_the_inverse_sequency_map(n):
     pending = sim._PendingMap(n)
     pending.compose(build_uz(n).gates)
     forward, inverse = natural_to_sequency_perm(n)
-    source = pending.source_index()
+    source = gf2_index(pending.columns, pending.offset)
     assert source.dtype == inverse.dtype
     assert np.array_equal(source, inverse)
     image = np.empty_like(source)

@@ -4,8 +4,8 @@ Every expected value here is either a hand-frozen constant or produced by a
 small oracle implemented independently in this file (dense matrices built
 directly from the sign definitions, zero crossings counted on materialized
 rows, DFT by direct summation). The library checks itself only where a fast
-kernel meets the library's slow oracles (radix-2 butterflies, the dense
-sequency matrix, one-qubit H gates), which are pinned here in turn.
+kernel meets the library's slow oracles (the dense sequency matrix,
+one-qubit H gates), which are pinned here in turn.
 """
 
 from __future__ import annotations
@@ -311,6 +311,37 @@ def test_one_bit_width_floor_with_one_message(name, n):
     assert str(err.value) == f"bit width must be at least 1 (2 samples), got {n}"
 
 
+# every function that reads a register quantity (a bit width, qubit count,
+# qubit or basis index), called with that value alone
+_TAKES_REGISTER_QUANTITY = {
+    **_TAKES_N,
+    "sequency_of-s": lambda s: tr.sequency_of(s, 3),
+    "zero_crossings_bruteforce-s": lambda s: tr.zero_crossings_bruteforce(s, 3),
+    "project_ancilla-qubit": lambda q: simulator.project_ancilla(simulator.basis_state(2), q, 0),
+    "basis_state-n_qubits": simulator.basis_state,
+    "basis_state-index": lambda i: simulator.basis_state(2, i),
+    "Statevector-n_qubits": lambda n: simulator.Statevector(n, [1.0, 0.0]),
+    "Circuit-n_qubits": lambda n: circuits.Circuit(n, ()),
+}
+
+
+@pytest.mark.parametrize("value", [3.0, 2.5, "3"])
+@pytest.mark.parametrize("name", sorted(_TAKES_REGISTER_QUANTITY))
+def test_register_quantities_must_be_integers(name, value):
+    with pytest.raises(ValueError) as err:
+        _TAKES_REGISTER_QUANTITY[name](value)
+    assert str(err.value).endswith(f" must be an integer, got {value!r}")
+
+
+def test_numpy_integers_pass_as_register_quantities():
+    assert type(tr.check_bits(np.int64(3))) is int
+    circuit = circuits.build_filter_circuit(np.int64(3), filters.FilterSpec.band_pass(1, 5))
+    assert type(circuit.n_qubits) is int
+    assert circuits.circuit_from_json(circuits.circuit_to_json(circuit)) == circuit
+    state = simulator.basis_state(np.int64(2), np.int64(3))
+    assert simulator.project_ancilla(state, np.int64(1), 1)[1] == 1.0
+
+
 @pytest.mark.parametrize("call", [
     tr.fwht_natural,
     tr.wht_sequency,
@@ -415,8 +446,8 @@ def kernel_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(kernel_cases())
 def test_hadamard_kernel_matches_its_oracles(case):
-    # all bits: the radix-2 butterflies and the dense sequency matrix's rows in
-    # natural order; a subset: a fold of one-qubit H gates
+    # any bits: a fold of one-qubit H gates; all bits and n <= 8: the dense
+    # sequency matrix's rows in natural order too
     n, qubits, scale, complex_input, seed = case
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(1 << n)
@@ -425,19 +456,13 @@ def test_hadamard_kernel_matches_its_oracles(case):
     x /= np.linalg.norm(x)
     got, _ = tr._hadamard_layer(x.copy(), np.empty_like(x), qubits, scale)
     assert got.dtype == x.dtype
-    wants = []
-    if len(qubits) == n:
-        butterflies = x.copy()
-        tr._fwht_inplace(butterflies)
-        wants.append(butterflies * scale)
-        if n <= 8:
-            rows = [tr.sequency_of(s, n) for s in range(1 << n)]
-            wants.append(tr.sequency_matrix(n)[rows] @ x * (scale * np.sqrt(1 << n)))
-    else:
-        folded = simulator.Statevector(n, x)
-        for q in qubits:
-            folded = simulator.apply_gate(folded, simulator.h(q))
-        wants.append(folded.amplitudes * (scale * 2.0 ** (len(qubits) / 2)))
+    folded = simulator.Statevector(n, x)
+    for q in qubits:
+        folded = simulator.apply_gate(folded, simulator.h(q))
+    wants = [folded.amplitudes * (scale * 2.0 ** (len(qubits) / 2))]
+    if len(qubits) == n and n <= 8:
+        rows = [tr.sequency_of(s, n) for s in range(1 << n)]
+        wants.append(tr.sequency_matrix(n)[rows] @ x * (scale * np.sqrt(1 << n)))
     for want in wants:
         assert np.max(np.abs(got - want)) <= 4 * n * EPS * np.max(np.abs(want))
 
@@ -584,6 +609,24 @@ def test_coefficients_accepts_any_length_until_transformed():
     assert len(c) == 3
     with pytest.raises(tr.SizingError):
         tr.wht_sequency(c)
+
+
+@pytest.mark.parametrize("call", [
+    tr.time_series,
+    tr.fwht_natural,
+    tr.wht_sequency,
+    tr.dft_spectrum,
+    simulator.amplitude_encode,
+    lambda v: filters.filter_quantum(v, filters.FilterSpec.low_pass(2)),
+    lambda v: filters.filter_classical_oracle(v, filters.FilterSpec.low_pass(2)),
+    filters.dc_remove_oracle,
+    lambda v: filters.compare(v, np.ones(4)),
+    lambda v: filters.compare(np.ones(4), v),
+], ids=["time_series", "fwht_natural", "wht_sequency", "dft_spectrum", "amplitude_encode",
+        "filter_quantum", "filter_classical_oracle", "dc_remove_oracle", "compare-a", "compare-b"])
+def test_complex_samples_are_refused_not_truncated(call):
+    with pytest.raises(ValueError, match="expected real samples, got complex128"):
+        call(np.array([1 + 2j, 3, 4, 5]))
 
 
 def test_coefficients_rejects_bad_tag_and_shape():
