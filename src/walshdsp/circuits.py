@@ -30,8 +30,10 @@ import json
 from dataclasses import dataclass
 from operator import index
 
-from walshdsp.simulator import CLOSED, GATE_KINDS, GATE_OPERANDS, OPEN, Gate, check_register, cnot, h, swap, x
-from walshdsp.transforms import check_bits, check_index, check_int
+from walshdsp.simulator import (
+    CLOSED, GATE_KINDS, GATE_OPERANDS, OPEN, Gate, check_qubit_count, check_register, cnot, h, swap, x,
+)
+from walshdsp.transforms import check_bits, check_int
 
 _POLARITY_OF_BIT = {"0": OPEN, "1": CLOSED}
 
@@ -45,7 +47,7 @@ class Circuit:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "n_qubits", check_index(self.n_qubits, "qubit count"))
+        object.__setattr__(self, "n_qubits", check_qubit_count(self.n_qubits))
         object.__setattr__(self, "gates", tuple(self.gates))
         check_register(self.gates, self.n_qubits)
 
@@ -239,14 +241,31 @@ def _gate_record(gate: Gate) -> dict:
     return {"kind": gate.kind, **dict(zip(GATE_OPERANDS[gate.kind], values))}
 
 
-def _gate_from_record(rec: dict) -> Gate:
+def _field(record, name: str, what: str):
+    """record[name]; ValueError naming what is malformed or missing."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{what} must be an object, got {record!r}")
+    if name not in record:
+        raise ValueError(f"{what} has no {name!r} field")
+    return record[name]
+
+
+def _records(value, what: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _gate_from_record(rec) -> Gate:
     # an unknown kind has no fields here and gets Gate's own message
-    kind, polarities = rec["kind"], ()
-    values = [rec[name] for name in GATE_OPERANDS.get(kind, ())]
+    kind, polarities = _field(rec, "kind", "gate record"), ()
+    if not isinstance(kind, str):
+        raise ValueError(f"unknown gate kind {kind!r}")
+    values = [_field(rec, name, f"{kind} gate record") for name in GATE_OPERANDS.get(kind, ())]
     if kind == "MCX":
-        controls, target = values
-        values = [c["qubit"] for c in controls] + [target]
-        polarities = tuple(c["polarity"] for c in controls)
+        controls, target = _records(values[0], "MCX controls"), values[1]
+        values = [_field(c, "qubit", "MCX control") for c in controls] + [target]
+        polarities = tuple(_field(c, "polarity", "MCX control") for c in controls)
     return Gate(kind, tuple(check_int(q, "qubit index") for q in values), polarities)
 
 
@@ -263,12 +282,14 @@ def circuit_to_dict(circuit: Circuit) -> dict:
 
 def circuit_from_dict(data: dict) -> Circuit:
     """Inverse of circuit_to_dict; qubit indices and n_qubits must be integral."""
-    if data.get("format") != "walshdsp-circuit":
+    if not isinstance(data, dict) or data.get("format") != "walshdsp-circuit":
         raise ValueError("not a walshdsp circuit description")
     if data.get("version") != 1:
         raise ValueError(f"unsupported circuit description version {data.get('version')!r}")
-    gates = tuple(_gate_from_record(rec) for rec in data["gates"])
-    return Circuit(check_int(data["n_qubits"], "n_qubits"), gates, str(data.get("label", "")))
+    records = _records(_field(data, "gates", "circuit description"), "gates")
+    gates = tuple(_gate_from_record(rec) for rec in records)
+    n_qubits = check_int(_field(data, "n_qubits", "circuit description"), "n_qubits")
+    return Circuit(n_qubits, gates, str(data.get("label", "")))
 
 
 def circuit_to_json(circuit: Circuit) -> str:

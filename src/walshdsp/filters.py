@@ -7,8 +7,8 @@ the roles by toggling the circuit's leading X). Branches come back in the
 signal's physical units, rescaled by the encoding norm, so they compare
 directly against the classical path.
 
-The classical path transforms to the sequency domain, zeroes the coefficients
-outside (pass) or inside (stop) the retained index set, and transforms back.
+The classical path transforms in natural order, zeroes the rows whose sequency
+lies outside (pass) or inside (stop) the retained set, and transforms back.
 Both paths realize the same orthogonal projections; the error metrics in
 compare() quantify how closely the simulated circuit tracks the dense
 arithmetic.
@@ -62,7 +62,11 @@ class FilterSpec:
         elif self.kind == "band":
             if self.band is None or self.cutoff is not None:
                 raise ValueError("band takes band edges and no cutoff")
-            lo, hi = check_int(self.band[0], "band edge"), check_int(self.band[1], "band edge")
+            try:
+                lo, hi = self.band
+            except (TypeError, ValueError):
+                raise ValueError(f"band takes exactly two edges, got {self.band!r}") from None
+            lo, hi = check_int(lo, "band edge"), check_int(hi, "band edge")
             if not 0 <= lo < hi:
                 raise ValueError(f"band edges must satisfy 0 <= {lo} < {hi}")
             object.__setattr__(self, "band", (lo, hi))
@@ -175,26 +179,21 @@ def filter_quantum(signal, spec: FilterSpec, *, swapped: bool = False) -> Filter
 
 
 def filter_classical_oracle(signal, spec: FilterSpec) -> tuple[Coefficients, Coefficients]:
-    """Dense-transform reference: mask in the sequency domain, transform back.
+    """Dense-transform reference: mask the spectrum by sequency, transform back.
 
-    The sequency transform is self-inverse: one sequency map serves the
-    forward transform and both transforms back, each computed as
-    wht_sequency computes it.
+    H · (the sequency mask read through the map) · H, as uz·uz† cancels in
+    the circuit: natural row s is kept when its sequency is.
     """
     signal, n = time_signal(signal)
     size = 1 << n
     spec.validate_for(size)
     # looked up on the module at call time, like the calls into the other
     # layers, so that a tracer patching the module sees the map being built
-    _, natural_of = transforms.natural_to_sequency_perm(n)
-
-    def sequency_wht(values):
-        return fwht_natural(values).values[natural_of]
-
-    spectrum = sequency_wht(signal.values)
-    mask = _pass_mask(spec, size)
-    pass_branch = sequency_wht(np.where(mask, spectrum, 0.0))
-    stop_branch = sequency_wht(np.where(mask, 0.0, spectrum))
+    sequency_of_row, _ = transforms.natural_to_sequency_perm(n)
+    keep = _pass_mask(spec, size)[sequency_of_row]
+    spectrum = fwht_natural(signal).values
+    pass_branch = fwht_natural(np.where(keep, spectrum, 0.0)).values
+    stop_branch = fwht_natural(np.where(keep, 0.0, spectrum)).values
     return Coefficients(pass_branch, TIME), Coefficients(stop_branch, TIME)
 
 

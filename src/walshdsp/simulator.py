@@ -165,7 +165,7 @@ class Statevector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        n = check_index(self.n_qubits, "qubit count")
+        n = check_qubit_count(self.n_qubits)
         amps = np.asarray(self.amplitudes)
         amps = amps.astype(np.complex128 if amps.dtype.kind == "c" else np.float64, copy=False)
         if amps.ndim != 1 or amps.size != 1 << n:
@@ -183,12 +183,20 @@ class Statevector:
 
 def basis_state(n_qubits: int, index: int = 0) -> Statevector:
     """The computational basis state |index> on n_qubits qubits."""
-    n_qubits, index = check_index(n_qubits, "qubit count"), check_index(index, "basis index")
+    n_qubits, index = check_qubit_count(n_qubits), check_index(index, "basis index")
     if not 0 <= index < (1 << n_qubits):
         raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
     amps = np.zeros(1 << n_qubits)
     amps[index] = 1.0
     return Statevector(n_qubits, amps)
+
+
+def check_qubit_count(n_qubits) -> int:
+    """n_qubits as an int if it is a register width (an integer, at least 0)."""
+    n = check_index(n_qubits, "qubit count")
+    if n < 0:
+        raise ValueError(f"qubit count must be at least 0, got {n}")
+    return n
 
 
 def check_register(gates, n_qubits: int) -> None:

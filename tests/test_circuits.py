@@ -545,6 +545,40 @@ def test_circuit_from_dict_rejects_non_integral_indices(data):
         qc.circuit_from_dict(data)
 
 
+_NO_GATES = {"format": "walshdsp-circuit", "version": 1, "label": "", "n_qubits": 3}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_NO_GATES, "circuit description has no 'gates' field"),
+        ({**_NO_GATES, "gates": 5}, "gates must be a list, got 5"),
+        ({k: v for k, v in _one_gate_dict({"kind": "H", "qubit": 1}).items() if k != "n_qubits"},
+         "circuit description has no 'n_qubits' field"),
+        (_one_gate_dict({"qubit": 1}), "gate record has no 'kind' field"),
+        (_one_gate_dict({"kind": "H"}), "H gate record has no 'qubit' field"),
+        (_one_gate_dict({"kind": "CNOT", "control": 0}), "CNOT gate record has no 'target' field"),
+        (_one_gate_dict(["H", 1]), "gate record must be an object, got ['H', 1]"),
+        (_one_gate_dict({"kind": ["H"], "qubit": 1}), "unknown gate kind ['H']"),
+        (_one_gate_dict({"kind": "MCX", "controls": [0], "target": 2}), "MCX control must be an object, got 0"),
+        (_one_gate_dict({"kind": "MCX", "controls": 0, "target": 2}), "MCX controls must be a list, got 0"),
+        (_one_gate_dict({"kind": "MCX", "controls": [{"qubit": 0}], "target": 2}),
+         "MCX control has no 'polarity' field"),
+        ([], "not a walshdsp circuit description"),
+    ],
+    ids=["no-gates", "gates-not-a-list", "no-n_qubits", "no-kind", "h-no-qubit", "cnot-no-target",
+         "record-not-an-object", "kind-not-a-string", "mcx-control-not-an-object",
+         "mcx-controls-not-a-list", "mcx-control-no-polarity", "not-an-object"],
+)
+def test_circuit_from_dict_names_what_is_missing_or_malformed(data, message):
+    with pytest.raises(ValueError) as err:
+        qc.circuit_from_dict(data)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        qc.circuit_from_json(json.dumps(data))
+    assert str(err.value) == message
+
+
 def test_circuit_from_dict_reads_integral_floats_as_int():
     data = _one_gate_dict({"kind": "MCX", "controls": [{"qubit": 1.0, "polarity": "closed"}],
                            "target": 2.0}, n_qubits=3.0)

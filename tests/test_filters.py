@@ -241,15 +241,55 @@ def test_quantum_matches_oracle_where_the_last_h_block_is_short(n):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_oracle_keeps_the_bits_of_three_sequency_transforms(n):
+    # bit for bit: three natural-order transforms around the sequency mask
+    # read through the map; to within n·eps·‖x‖: three wht_sequency calls
+    # around the mask itself
     signal = np.random.default_rng(100 + n).standard_normal(1 << n)
+    tol = n * np.finfo(float).eps * np.linalg.norm(signal)
+    sequency_of_row, _ = tr.natural_to_sequency_perm(n)
+    natural = tr.fwht_natural(signal).values
     spectrum = tr.wht_sequency(signal).values
     for spec in specs_for(1 << n):
         mask = flt._pass_mask(spec, 1 << n)
-        expected = [tr.wht_sequency(tr.Coefficients(np.where(keep, spectrum, 0.0), tr.SEQUENCY))
-                    for keep in (mask, ~mask)]
-        for got, want in zip(flt.filter_classical_oracle(signal, spec), expected):
-            assert got.order_tag == want.order_tag == tr.TIME
-            assert np.array_equal(got.values, want.values)
+        keep = mask[sequency_of_row]
+        pinned = [tr.fwht_natural(np.where(k, natural, 0.0)).values for k in (keep, ~keep)]
+        composed = [tr.wht_sequency(tr.Coefficients(np.where(k, spectrum, 0.0), tr.SEQUENCY))
+                    for k in (mask, ~mask)]
+        for got, bits, near in zip(flt.filter_classical_oracle(signal, spec), pinned, composed):
+            assert got.order_tag == near.order_tag == tr.TIME
+            assert np.array_equal(got.values, bits)
+            assert np.linalg.norm(got.values - near.values) <= tol
+
+
+@st.composite
+def oracle_cases(draw):
+    """n <= 8, a low/high/band/dc spec valid for 2**n samples, a signal seed
+    and a decimal scale."""
+    n = draw(st.integers(1, 8))
+    size = 1 << n
+    kind = draw(st.sampled_from(flt.KINDS))
+    if kind in ("low", "high"):
+        spec = flt.FilterSpec(kind, cutoff=draw(st.integers(1, size)))
+    elif kind == "band":
+        lo = draw(st.integers(0, size - 1))
+        spec = flt.FilterSpec.band_pass(lo, draw(st.integers(lo + 1, size)))
+    else:
+        spec = flt.FilterSpec.dc()
+    return n, spec, draw(st.integers(0, 2**32 - 1)), draw(st.integers(-100, 100))
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_cases())
+def test_oracle_matches_the_dense_sequency_matrix(case):
+    # pass = S·(mask ⊙ S·x), stop the same with the complement mask
+    n, spec, seed, exponent = case
+    signal = np.random.default_rng(seed).standard_normal(1 << n) * 10.0**exponent
+    dense = tr.sequency_matrix(n)
+    spectrum = dense @ signal
+    mask = flt._pass_mask(spec, 1 << n)
+    tol = 1e-12 * np.linalg.norm(signal)
+    for got, keep in zip(flt.filter_classical_oracle(signal, spec), (mask, ~mask)):
+        assert np.linalg.norm(got.values - dense @ np.where(keep, spectrum, 0.0)) <= tol
 
 
 @settings(max_examples=30, deadline=None)
@@ -277,6 +317,10 @@ def test_filterspec_validation():
         flt.FilterSpec("dc", cutoff=2)
     with pytest.raises(ValueError):
         flt.FilterSpec("notch", cutoff=2)
+    # a band is exactly two edges; a third is not silently dropped
+    for band in [(1, 3, 99), (1,), (), 5]:
+        with pytest.raises(ValueError, match="band takes exactly two edges"):
+            flt.FilterSpec("band", band=band)
 
 
 @pytest.mark.parametrize("value", [4, 4.0, np.int64(4), np.float64(4.0)],

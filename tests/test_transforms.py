@@ -333,6 +333,29 @@ def test_register_quantities_must_be_integers(name, value):
     assert str(err.value).endswith(f" must be an integer, got {value!r}")
 
 
+# every reader of a qubit count, called with that count alone
+_TAKES_QUBIT_COUNT = {
+    **{name: _TAKES_REGISTER_QUANTITY[name]
+       for name in ("basis_state-n_qubits", "Statevector-n_qubits", "Circuit-n_qubits")},
+    "circuit_from_dict": lambda n: circuits.circuit_from_dict(
+        {"format": "walshdsp-circuit", "version": 1, "n_qubits": n, "gates": []}),
+}
+
+
+@pytest.mark.parametrize("n", [-1, -5])
+@pytest.mark.parametrize("name", sorted(_TAKES_QUBIT_COUNT))
+def test_qubit_counts_have_one_floor_with_one_message(name, n):
+    with pytest.raises(ValueError) as err:
+        _TAKES_QUBIT_COUNT[name](n)
+    assert str(err.value) == f"qubit count must be at least 0, got {n}"
+
+
+def test_zero_qubits_is_a_register():
+    assert simulator.basis_state(0).amplitudes.tolist() == [1.0]
+    assert simulator.Statevector(0, [1.0]).n_qubits == 0
+    assert circuits.Circuit(0, ()).n_qubits == 0
+
+
 def test_numpy_integers_pass_as_register_quantities():
     assert type(tr.check_bits(np.int64(3))) is int
     circuit = circuits.build_filter_circuit(np.int64(3), filters.FilterSpec.band_pass(1, 5))
