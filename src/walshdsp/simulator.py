@@ -23,14 +23,16 @@ where it must:
 * X/CNOT/SWAP gates are a GF(2)-affine map of the basis indices. They are
   not applied but composed into a pending map, which relabels the index
   bits (Haener & Steiger, SC17). The map is materialised only before an H
-  run, before an MCX run it moves the target of, and at the end: as a copy
+  run, before an MCX run it does not carry (below), and at the end: as a copy
   through np.flip when it only flips bits, as one gather through a
   transforms.gf2_index array otherwise, and not at all when it has come
   back to the identity, as uz followed by its inverse does;
-* a run of MCX gates on one target is one masked half-swap, an XOR swap of
-  the amplitudes' bits: each gate toggles the sub-cube of a table over the
-  other qubits where its controls hold, and the table is scattered once
-  through the pending map's own columns into the mask.
+* an MCX gate swaps the two halves of the sub-cube where its controls hold,
+  read through the pending map: when the map fixes the target and sends
+  that sub-cube onto the storage sub-cube of some fixed bits, as uz does
+  for every selector gate, the gate is three exact copies between two
+  strided views of the amplitudes, through the spare buffer; otherwise the
+  map is materialised before the gate's run.
 
 The layers come from the gate list alone. apply_gate keeps the per-gate
 index-array kernel as the slow reference the compiled path is tested
@@ -42,8 +44,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, groupby
-from operator import attrgetter, index
+from functools import reduce
+from itertools import chain, compress, groupby
+from operator import attrgetter, index, or_, xor
 
 import numpy as np
 
@@ -58,7 +61,6 @@ GATE_OPERANDS = {"H": ("qubit",), "X": ("qubit",), "CNOT": ("control", "target")
 GATE_KINDS = tuple(GATE_OPERANDS)
 _ARITY = {kind: len(names) for kind, names in GATE_OPERANDS.items() if kind != "MCX"}
 _PERMUTATION_KINDS = ("X", "CNOT", "SWAP")
-_BIT = {OPEN: 0, CLOSED: 1}
 _KIND, _QUBITS = attrgetter("kind"), attrgetter("qubits")
 _TARGET = attrgetter("target")
 _NORM_TOL = 1e-10
@@ -246,7 +248,7 @@ def _runs(gates):
     one target, or a run of H gates on distinct qubits, given as the list of
     those qubits. Distinct qubits make an H run one Kronecker product of
     Hadamard blocks; no gate of an MCX run controls on the shared target, so
-    the run's gates commute and XOR.
+    the run's gates commute.
     """
     for kind, group in groupby(gates, _KIND):
         if kind == "MCX":
@@ -277,6 +279,7 @@ class _PendingMap:
         self.identity = [1 << b for b in range(n_qubits)]
         self.columns = list(self.identity)
         self.offset = 0
+        self.qubits = frozenset(range(n_qubits))
 
     def flips_only(self) -> bool:
         return self.columns == self.identity
@@ -315,59 +318,42 @@ class _PendingMap:
         self.columns, self.offset = list(self.identity), 0
         return spare, amps
 
-    def fire_mask(self, run: list[Gate], t: int) -> np.ndarray:
-        """Where an MCX run on target t fires, over the indices with bit t clear.
+    def sub_cube(self, gate: Gate):
+        """Where an MCX gate acts in storage, as (shape, lo, hi); None if the map does not carry it.
 
-        Entry i, bit t dropped, holds whether an odd number of the run's
-        control predicates hold on the index j that source(j) = i. Valid only
-        while the map fixes the target (columns[t] == 1 << t): then source(j
-        ^ e_t) = source(j) ^ e_t, and the run is a masked swap of the two.
-        The predicates are toggled as strided sub-cubes of a table over the
-        other n - 1 qubits, which is scattered once through the map's own
-        columns.
+        The gate swaps logical j and j ^ e_t on the sub-cube where its
+        controls hold. The map sends that sub-cube to source(j0) ^
+        span(columns[q], q free), with j0 the index whose free qubits read 0
+        (t is free). The span is the storage sub-cube over the bits of U =
+        OR(columns[q], q free) exactly when U has one bit per free qubit, and
+        while columns[t] = e_t the gate pairs storage i with i ^ e_t. Then it
+        swaps the t = 0 and t = 1 halves of that sub-cube: the amplitudes
+        reshaped to shape, indexed by lo and by hi.
         """
-        n = len(self.columns)
-        table = np.zeros((2,) * (n - 1), dtype=bool)
-        # the trailing ... keeps a 0-d view when every axis is fixed
-        every_axis = [slice(None)] * (n - 1) + [...]
-        # qubit q is bit q - (q > t) once bit t is deleted, on the axis that
-        # many places from the last
-        axis = [n - 2 - q + (q > t) for q in range(n)]
-        for gate in run:
-            at = every_axis.copy()
-            for q, polarity in zip(gate.qubits, gate.polarities):
-                at[axis[q]] = _BIT[polarity]
-            cube = table[tuple(at)]
-            np.logical_not(cube, out=cube)
-        table = table.reshape(-1)
-        if not self.offset and self.flips_only():
-            return table
-        low = (1 << t) - 1
-
-        def packed(index):  # index with bit t deleted
-            return index & low | index >> 1 & ~low
-
-        columns = [packed(c) for c in self.columns[:t] + self.columns[t + 1:]]
-        mask = np.empty_like(table)
-        mask[gf2_index(columns, packed(self.offset))] = table
-        return mask
-
-
-def _masked_half_swap(amps: np.ndarray, spare: np.ndarray, mask: np.ndarray, t: int) -> None:
-    """Exchange amplitude i with i ^ (1 << t) wherever mask fires, in place.
-
-    mask is indexed like the amplitudes with bit t clear, bit t dropped. The
-    exchange is an XOR swap of the amplitudes' 64-bit words, so it moves
-    bits exactly: spare holds d = lo ^ hi where mask fires and 0 elsewhere,
-    then lo ^= d and hi ^= d.
-    """
-    words = amps.view(np.uint64).reshape(-1, 2, 1 << t, amps.itemsize // 8)
-    lo, hi = words[:, 0], words[:, 1]
-    d = spare.view(np.uint64)[: lo.size].reshape(lo.shape)
-    np.bitwise_xor(lo, hi, out=d)
-    d *= mask.reshape(*lo.shape[:2], 1)
-    lo ^= d
-    hi ^= d
+        columns, t = self.columns, gate.qubits[-1]
+        if columns[t] != 1 << t:
+            return None
+        closed = compress(gate.qubits, map(CLOSED.__eq__, gate.polarities))
+        fixed = reduce(xor, map(columns.__getitem__, closed), self.offset)
+        free_qubits = self.qubits.difference(gate.qubits[:-1])
+        free = reduce(or_, map(columns.__getitem__, free_qubits))
+        if bin(free).count("1") != len(free_qubits):
+            return None
+        n = len(columns)
+        # one axis per run of free or fixed bits, high bits first, and one
+        # for bit t; edges marks the lowest bit of each
+        edges = (free ^ free << 1 | 1 | 3 << t) & ((1 << n) - 1)
+        shape, at, top = [], [], n
+        while top:
+            b = (edges & ((1 << top) - 1)).bit_length() - 1
+            shape.append(1 << (top - b))
+            at.append(slice(None) if free >> b & 1 else fixed >> b & ((1 << (top - b)) - 1))
+            top = b
+        axis = bin(edges >> t).count("1") - 1
+        at[axis] = 0
+        lo = tuple(at) + (...,)
+        at[axis] = 1
+        return shape, lo, tuple(at) + (...,)
 
 
 def run_circuit(state: Statevector, circuit) -> Statevector:
@@ -387,9 +373,12 @@ def run_circuit(state: Statevector, circuit) -> Statevector:
         if kind in _PERMUTATION_KINDS:
             pending.compose(run)
             continue
-        t = run[0].qubits[-1] if kind == "MCX" else None
-        if kind == "H" or pending.columns[t] != 1 << t:
+        if kind == "H":
             amps, spare = pending.flush(amps, spare)
+        elif None in (cubes := [pending.sub_cube(gate) for gate in run]):
+            # the identity map a flush leaves carries every gate
+            amps, spare = pending.flush(amps, spare)
+            cubes = [pending.sub_cube(gate) for gate in run]
         if spare is source:
             spare = np.empty_like(amps)
         if kind == "H":
@@ -399,7 +388,11 @@ def run_circuit(state: Statevector, circuit) -> Statevector:
         else:
             if amps is source:
                 amps = amps.copy()
-            _masked_half_swap(amps, spare, pending.fire_mask(run, t), t)
+            for shape, lo, hi in cubes:
+                states, buffer = amps.reshape(shape), spare.reshape(shape)
+                np.copyto(buffer[lo], states[lo])
+                np.copyto(states[lo], states[hi])
+                np.copyto(states[hi], buffer[lo])
     amps, _ = pending.flush(amps, spare)
     return Statevector(n, amps.copy() if amps is source else amps)
 

@@ -246,10 +246,15 @@ def natural_to_sequency_perm(n: int) -> tuple[np.ndarray, np.ndarray]:
     (1 << (n-j)) - 1, the prefix XORs of a single bit, and the inverse sends
     1 << j to 3 << (n-1-j), truncated to n bits.
     """
+    return _sequency_index(n), _sequency_index(n, inverse=True)
+
+
+def _sequency_index(n: int, inverse: bool = False) -> np.ndarray:
+    """One of natural_to_sequency_perm's two arrays, for a caller that reads one."""
     check_bits(n)
-    forward = gf2_index([(1 << (n - j)) - 1 for j in range(n)])
-    inverse = gf2_index([(3 << (n - 1 - j)) & ((1 << n) - 1) for j in range(n)])
-    return forward, inverse
+    if inverse:
+        return gf2_index([(3 << (n - 1 - j)) & ((1 << n) - 1) for j in range(n)])
+    return gf2_index([(1 << (n - j)) - 1 for j in range(n)])
 
 
 def _hadamard(g: int) -> np.ndarray:
@@ -360,11 +365,10 @@ def wht_sequency(v, inverse: bool = False) -> Coefficients:
     if v.order_tag == NATURAL:
         raise ValueError("natural-tagged input; use fwht_natural to go back")
     n = bit_width(len(v))
-    forward, inv = natural_to_sequency_perm(n)
     if inverse:
-        out = _scaled_fwht(v.values[forward])
+        out = _scaled_fwht(v.values[_sequency_index(n)])
     else:
-        out = _scaled_fwht(v.values)[inv]
+        out = _scaled_fwht(v.values)[_sequency_index(n, inverse=True)]
     tag = SEQUENCY if v.order_tag == TIME else TIME
     return Coefficients(out, tag)
 

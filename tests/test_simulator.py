@@ -258,10 +258,11 @@ def conjugated_circuits(draw):
     """A permutation run P, an MCX run on one target, then P reversed or a new run.
 
     Half the draws keep P off the target's column (X anywhere, CNOT not
-    controlled on the target, SWAP not touching it), so that the MCX run is
-    one masked swap under the pending map; the other half draw P freely, and
-    a P that moves the target is flushed before the MCX run. Reversing P
-    cancels the pending map; a new permutation run is flushed at the end.
+    controlled on the target, SWAP not touching it), so that the pending map
+    fixes the target; the other half draw P freely, and a P that moves the
+    target, or does not carry some gate's sub-cube, is flushed before the MCX
+    run. Reversing P cancels the pending map; a new permutation run is flushed
+    at the end.
     """
     n = draw(st.integers(2, 6))
     target = draw(st.integers(0, n - 1))
@@ -298,12 +299,13 @@ def conjugated_circuits(draw):
 @example(build_filter_circuit(4, FilterSpec.high_pass(5), swapped=True), True, 1)
 @example(build_filter_circuit(5, FilterSpec.band_pass(3, 27)), False, 2)
 @example(build_filter_circuit(5, FilterSpec.dc(), swapped=True), True, 3)
-# an X on the MCX run's target: the fire mask under a pure offset
+# an X on the MCX run's target: the sub-cubes under a pure offset
 @example(Circuit(3, (sim.x(2), sim.mcx([(0, sim.OPEN), (1, sim.CLOSED)], 2), sim.mcx([(1, sim.OPEN)], 2),
                      sim.x(2))), False, 4)
 def test_conjugated_mcx_runs_match_gate_fold_and_matrix_product(circuit, complex_state, seed):
-    # the pending map either carries the MCX run as one masked swap or is
-    # flushed before it, and is cancelled or flushed after it
+    # the pending map either carries each gate of the MCX run as one swap of
+    # two sub-views or is flushed before the run, and is cancelled or flushed
+    # after it
     assert_matches_gate_fold_and_matrix_product(circuit, complex_state, seed)
 
 
@@ -321,17 +323,17 @@ def count_gf2_indices(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("swapped", [False, True])
 def test_filter_circuits_defer_uz_and_make_no_gather(monkeypatch, swapped):
-    # the selector reads its controls through the pending uz as one fire
-    # mask over the n data qubits, and uz inverse cancels uz: no index over
-    # all n + 1 qubits is built; the dc circuit has no uz, and its leading X
-    # (swapped) is a flip, so it builds no index at all
+    # uz carries each selector gate's sub-cube onto a storage sub-cube, so
+    # the selector swaps two strided views per gate, and uz inverse cancels
+    # uz; the dc circuit has no uz, and its leading X (swapped) is a flip:
+    # no circuit builds an index array
     n = 10
     sizes = count_gf2_indices(monkeypatch)
     state = random_real_state(n + 1)
     for spec in (FilterSpec.low_pass(300), FilterSpec.high_pass(517), FilterSpec.band_pass(37, 901),
                  FilterSpec.dc()):
         sim.run_circuit(state, build_filter_circuit(n, spec, swapped=swapped))
-    assert sizes == [n] * 3
+    assert sizes == []
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -391,7 +393,7 @@ def test_h_run_blocks_match_gate_fold(circuit, complex_state, seed):
 def test_uz_gather_index_is_the_inverse_sequency_map(n):
     # uz sends |s> to |sequency_of(s)>: its pending map gathers amplitude g
     # from natural position inverse[g], so scattering through the same
-    # index (as the fire mask does) sends s to forward[s]
+    # index sends s to forward[s]
     pending = sim._PendingMap(n)
     pending.compose(build_uz(n).gates)
     forward, inverse = natural_to_sequency_perm(n)
@@ -408,9 +410,9 @@ def prefixed_mcx_runs(draw):
     """An X/CNOT/SWAP prefix on up to 8 qubits, then one to three MCX runs.
 
     Each run's target is drawn from the qubits the prefix's map fixes, where
-    the run is one masked swap through the scattered fire mask, or from those
-    it moves, where the map is flushed first; an X on a fixed target leaves it
-    fixed and only sets the map's offset there.
+    each gate whose sub-cube the map carries is one swap of two sub-views, or
+    from those it moves, where the map is flushed first; an X on a fixed
+    target leaves it fixed and only sets the map's offset there.
     """
     n = draw(st.integers(2, 8))
     qubit = st.integers(0, n - 1)
@@ -449,7 +451,14 @@ def prefixed_mcx_runs(draw):
                      sim.mcx([(1, sim.OPEN), (4, sim.CLOSED)], 2), sim.mcx([], 2))), True, 1)
 # a moved target: the map is flushed before the run
 @example(Circuit(3, (sim.cnot(2, 0), sim.mcx([(1, sim.CLOSED)], 0))), True, 2)
-def test_fire_mask_through_the_pending_map_matches_gate_fold(circuit, complex_state, seed):
+# a fixed target, but the map sends the free qubits 0 and 2 to three storage
+# bits, so it does not carry the gate's sub-cube and is flushed first
+@example(Circuit(3, (sim.cnot(0, 1), sim.mcx([(1, sim.OPEN)], 2))), False, 3)
+# controls on every other qubit: the two halves are 0-d views
+@example(Circuit(3, (sim.swap(0, 1), sim.x(0), sim.mcx([(0, sim.CLOSED), (1, sim.OPEN)], 2))), True, 4)
+# no controls under a map that is not the identity: the whole state's halves
+@example(Circuit(3, (sim.cnot(1, 0), sim.x(2), sim.mcx([], 0))), False, 5)
+def test_mcx_sub_cubes_through_the_pending_map_match_gate_fold(circuit, complex_state, seed):
     # every gate here only moves amplitudes, so the compiled path must give
     # the fold's bits exactly
     rng = np.random.default_rng(seed)
