@@ -241,12 +241,9 @@ def _cmd_sequency_map(args: argparse.Namespace, parser: argparse.ArgumentParser)
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     results = verification.run_all(args.n_max)
-    failed = False
     for r in results:
-        status = "PASS" if r.ok else "FAIL"
-        failed = failed or not r.ok
-        print(f"{status} {r.name}: {r.detail}")
-    return 1 if failed else 0
+        print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}")
+    return 0 if all(r.ok for r in results) else 1
 
 
 def _gates_build(args: argparse.Namespace, n: int, parser: argparse.ArgumentParser) -> circuits.Circuit:

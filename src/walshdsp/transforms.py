@@ -16,16 +16,14 @@ check_bits is the one floor on n and bit_width the one length check, so a
 1-sample signal and n < 1 raise the same SizingError. check_int is the one
 rule for integral values read from outside (4.0 passes), check_index the
 one rule for register quantities (ints and numpy integers only). Samples
-are real: a complex array is a ValueError, not a silent real part. Sums and
-norms are taken in peak units (peak_units, an exact power-of-two rescaling
-that rejects nan and inf), so finite samples near the float64 limit give
-finite coefficients; a coefficient that float64 cannot hold raises
-ValueError.
+are real and finite: a complex array, nan or inf is a ValueError. Norms
+are taken in peak units (peak_units), exactly and without overflow.
 
-_hadamard_layer is the package's one H kernel, shared with the simulator;
-the classical transforms run it over all n bits, then multiply once by
-1/sqrt(N). The tests check it against the dense sequency matrix and a fold
-of the simulator's one-qubit H gates.
+_hadamard_layer is the package's one H kernel, shared with the simulator
+and checked against the dense sequency matrix and a fold of the
+simulator's one-qubit H gates. The classical transforms run it on the
+caller's samples with the unitary scale folded in; _scaled_fwht says when
+they sum in peak units instead (a coefficient beyond float64 raises).
 
 The sequency map (prefix XORs of the index bits, in reversed bit order) and
 its inverse are GF(2)-linear; gf2_index builds both and the simulator's
@@ -38,14 +36,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 TIME = "time"
 NATURAL = "natural"
 SEQUENCY = "sequency"
-
-_ORDER_TAGS = (TIME, NATURAL, SEQUENCY)
 
 # refuse brute-force materialization above this bit width
 BRUTE_FORCE_BOUND = 20
@@ -80,7 +77,7 @@ class Coefficients:
         vals = vals.astype(np.float64, copy=False)
         if vals.ndim != 1:
             raise ValueError(f"expected a 1-D vector, got shape {vals.shape}")
-        if self.order_tag not in _ORDER_TAGS:
+        if self.order_tag not in (TIME, NATURAL, SEQUENCY):
             raise ValueError(f"unknown order tag {self.order_tag!r}")
         object.__setattr__(self, "values", vals)
 
@@ -150,9 +147,9 @@ def peak_units(*arrays: np.ndarray) -> tuple[float, list[np.ndarray]]:
     """The largest power of two not above every |entry| (1.0 if all are 0), and
     each array divided by it.
 
-    The division is exact and brings the peak into [1, 2), so sums and norms
-    taken afterwards neither overflow nor underflow. ValueError on a nan or
-    inf in any array.
+    The division is exact for ordinary entries and brings the peak into
+    [1, 2), so norms and sums taken afterwards neither overflow nor
+    underflow. ValueError on a nan or inf in any array.
     """
     peak = 0.0
     for a in arrays:
@@ -199,7 +196,7 @@ def sequency_recursion_trace(s: int, n: int) -> list[int]:
     acc = 0
     for m in range(n):
         acc ^= (s >> m) & 1
-        z = 2 * z + acc if m else acc
+        z = 2 * z + acc
         trace.append(z)
     return trace
 
@@ -257,15 +254,9 @@ def _sequency_index(n: int, inverse: bool = False) -> np.ndarray:
     return gf2_index([(1 << (n - j)) - 1 for j in range(n)])
 
 
-def _hadamard(g: int) -> np.ndarray:
-    """2**g x 2**g Hadamard matrix of signs, entry (k, j) = (-1)**(k.j)."""
-    m = np.ones((1, 1))
-    for _ in range(g):
-        m = np.block([[m, m], [m, -m]])
-    return m
-
-
-_HADAMARD_BLOCKS = tuple(_hadamard(g) for g in range(_BLOCK_QUBITS + 1))
+# 2**g x 2**g Hadamard matrices of signs, entry (k, j) = (-1)**(k.j), g <= _BLOCK_QUBITS
+_HADAMARD_BLOCKS = tuple(reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * g, np.ones((1, 1)))
+                         for g in range(_BLOCK_QUBITS + 1))
 
 
 def _hadamard_layer(a: np.ndarray, spare: np.ndarray, qubits, scale: float = 1.0, back=None):
@@ -308,32 +299,35 @@ def _hadamard_layer(a: np.ndarray, spare: np.ndarray, qubits, scale: float = 1.0
     return a, spare
 
 
-def _in_peak_units(values: np.ndarray, linear) -> np.ndarray:
-    """linear(values) for a linear map, computed in binary units of the peak.
+def _scaled_fwht(values: np.ndarray, back=None) -> tuple[np.ndarray, np.ndarray]:
+    """Natural-order transform of values with unitary scaling; returns it and a free buffer.
 
-    Dividing by the binary unit and multiplying back are exact, so ordinary
-    samples give the bits of linear(values) while samples near the float64
-    limit cannot overflow the sums in between. ValueError on a nan or inf
-    sample and on a result beyond float64.
+    One max/min scan finds the peak. In [2**-900, 2**900] it bounds every
+    partial sum by N * peak < 2**964 (N < 2**64): the kernel reads values,
+    writes spare and back (fresh unless given) and folds 2**(-n/2) into its
+    last block for even n; odd n keeps one multiply by 1/sqrt(N). Other
+    peaks go through peak_units (which rejects nan and inf), are summed in
+    its units, checked against float64 and multiplied back. Where every
+    sample is 0 or at least 2**-900 * max(1, unit) the two give the same
+    bits, as power-of-two scaling commutes with normal-range rounding; the
+    underflow of smaller ones (the divided copy's too) moves a coefficient
+    by at most (n + 1) * sqrt(N) * max(1, unit) * 2**-1073 to first order.
     """
-    unit, (scaled,) = peak_units(values)
-    out = linear(scaled)
-    peak = np.abs(out) if np.iscomplexobj(out) else out
-    if not math.isfinite(max(float(peak.max()), -float(peak.min())) * unit):
-        raise ValueError("transform result is beyond float64")
-    out *= unit
-    return out
-
-
-def _scaled_fwht(values: np.ndarray) -> np.ndarray:
-    """Natural-order transform of a copy of values, with unitary scaling."""
-
-    def fwht(a):
-        out, _ = _hadamard_layer(a, np.empty_like(a), range(a.size.bit_length() - 1))
+    n = values.size.bit_length() - 1
+    unit = None
+    if not 2.0 ** -900 <= max(float(values.max()), -float(values.min())) <= 2.0 ** 900:
+        unit, (values,) = peak_units(values)
+        back = values
+    fold = unit is None and n % 2 == 0
+    out, free = _hadamard_layer(values, np.empty_like(values), range(n), 0.5 ** (n // 2) if fold else 1.0,
+                                np.empty_like(values) if back is None else back)
+    if not fold:
         out *= 1.0 / np.sqrt(out.size)
-        return out
-
-    return _in_peak_units(values, fwht)
+    if unit is not None:
+        if not math.isfinite(max(float(out.max()), -float(out.min())) * unit):
+            raise ValueError("transform result is beyond float64")
+        out *= unit
+    return out, free
 
 
 def fwht_natural(v) -> Coefficients:
@@ -348,7 +342,7 @@ def fwht_natural(v) -> Coefficients:
         raise ValueError("sequency-tagged input; use wht_sequency to go back")
     bit_width(len(v))
     tag = NATURAL if v.order_tag == TIME else TIME
-    return Coefficients(_scaled_fwht(v.values), tag)
+    return Coefficients(_scaled_fwht(v.values)[0], tag)
 
 
 def wht_sequency(v, inverse: bool = False) -> Coefficients:
@@ -366,9 +360,12 @@ def wht_sequency(v, inverse: bool = False) -> Coefficients:
         raise ValueError("natural-tagged input; use fwht_natural to go back")
     n = bit_width(len(v))
     if inverse:
-        out = _scaled_fwht(v.values[_sequency_index(n)])
+        gathered = v.values[_sequency_index(n)]
+        out, _ = _scaled_fwht(gathered, back=gathered)
     else:
-        out = _scaled_fwht(v.values)[_sequency_index(n, inverse=True)]
+        # into the buffer the kernel freed; mode="raise" would buffer the take
+        out, free = _scaled_fwht(v.values)
+        out = np.take(out, _sequency_index(n, inverse=True), out=free, mode="clip")
     tag = SEQUENCY if v.order_tag == TIME else TIME
     return Coefficients(out, tag)
 
@@ -399,7 +396,13 @@ def dft_spectrum(v) -> np.ndarray:
     Same 1/sqrt(N) scaling as the Walsh transforms so Parseval holds with the
     identical constant. This is the only complex-valued surface in the
     package; it exists to emit frequency-spectrum plot data next to sequency
-    spectra.
+    spectra. Summed in peak units; ValueError on a nan or inf sample and on
+    a coefficient beyond float64.
     """
     v, _ = time_signal(v)
-    return _in_peak_units(v.values, lambda a: np.fft.fft(a, norm="ortho"))
+    unit, (scaled,) = peak_units(v.values)
+    out = np.fft.fft(scaled, norm="ortho")
+    if not math.isfinite(float(np.abs(out).max()) * unit):
+        raise ValueError("transform result is beyond float64")
+    out *= unit
+    return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -542,6 +542,113 @@ def test_transforms_near_the_float64_limit():
             transform(over)
         with pytest.raises(ValueError, match="non-finite"):
             transform([1.0, np.nan, 0.0, np.inf])
+
+
+# ---------------------------------------------------------------------------
+# the folded sum against the guarded sum it replaces on ordinary input
+
+_GUARD = (2.0 ** -900, 2.0 ** 900)
+
+
+def guarded_sum(values):
+    """The arithmetic every classical transform used for all input: the
+    samples divided by the peak's binary unit, the kernel, 1/sqrt(N), a
+    check that the result fits float64, then the unit."""
+    unit, (scaled,) = tr.peak_units(values)
+    out, _ = tr._hadamard_layer(scaled, np.empty_like(scaled), range(values.size.bit_length() - 1))
+    out *= 1.0 / np.sqrt(out.size)
+    if not np.isfinite(float(np.max(np.abs(out))) * unit):
+        raise ValueError("transform result is beyond float64")
+    out *= unit
+    return out
+
+
+def at_peak(n, peak, seed=0):
+    """Seeded normal samples scaled so that the largest magnitude is exactly peak."""
+    x = np.random.default_rng(seed).standard_normal(1 << n)
+    x /= np.max(np.abs(x))
+    x[np.argmax(np.abs(x))] = 1.0
+    return x * peak
+
+
+@st.composite
+def scaled_signals(draw):
+    """n <= 14; normal samples at 2**e, some of them 2**d lower, e in -1100..1100.
+
+    e covers both sides of the guard and the float64 limits (overflowing
+    samples are inf); d up to 1100 gives samples the divided copy rounds.
+    The samples at 2**e may all be ±1, so that they cancel in most
+    coefficients and leave the low ones to show.
+    """
+    n = draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mantissas = rng.standard_normal(1 << n)
+    if draw(st.booleans()):
+        mantissas = np.sign(mantissas)
+    low = rng.random(1 << n) < draw(st.sampled_from([0.0, 0.5, 0.9]))
+    mantissas[low] = rng.standard_normal(np.count_nonzero(low))
+    exps = np.full(1 << n, draw(st.integers(-1100, 1100)))
+    exps[low] -= draw(st.integers(0, 1100))
+    with np.errstate(over="ignore"):
+        return np.ldexp(mantissas, exps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_signals())
+@example(at_peak(6, _GUARD[0]))
+@example(at_peak(6, np.nextafter(_GUARD[0], 0)))
+@example(at_peak(7, _GUARD[1]))
+@example(at_peak(7, np.nextafter(_GUARD[1], np.inf)))
+@example(at_peak(5, np.nextafter(_GUARD[1], 0)))
+@example(at_peak(4, np.nextafter(_GUARD[0], 1)))
+@example(at_peak(6, 2.0 ** -1020))  # sums in peak units, bit for bit; the folded sum would round
+@example(np.concatenate([np.full(8, 2.0 ** 899), at_peak(3, 2.0 ** -130, seed=1)]))
+@example(np.concatenate([np.full(8, 2.0 ** -899), at_peak(3, 2.0 ** -1060, seed=2)]))
+@example(np.full(64, 2.0 ** 1020))  # a first block's 16-sample sums overflow unless guarded
+def test_folded_sum_keeps_the_bits_of_the_guarded_sum(x):
+    # bit for bit outside the guard, and inside it where every sample is 0 or
+    # at least 2**-900 * max(1, unit); otherwise within the first-order
+    # underflow bound of _scaled_fwht
+    n = x.size.bit_length() - 1
+    forward, inverse = tr.natural_to_sequency_perm(n)
+    exact = not _GUARD[0] <= np.max(np.abs(x)) <= _GUARD[1]
+    if not exact:
+        unit = tr.peak_units(x)[0]
+        exact = np.all((x == 0) | (np.abs(x) >= 2.0 ** -900 * max(1.0, unit)))
+        bound = (n + 1) * np.sqrt(x.size) * max(1.0, unit) * 2.0 ** -1073
+    routes = (
+        (tr.fwht_natural, lambda: guarded_sum(x)),
+        (tr.wht_sequency, lambda: guarded_sum(x)[inverse]),
+        (lambda v: tr.wht_sequency(tr.Coefficients(v, tr.SEQUENCY), inverse=True), lambda: guarded_sum(x[forward])),
+    )
+    for route, reference in routes:
+        try:
+            want = reference()
+        except ValueError as err:
+            with pytest.raises(ValueError, match=str(err)):
+                route(x)
+            continue
+        got = route(x).values
+        if exact:
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        else:
+            assert np.max(np.abs(got - want)) <= bound
+
+
+@pytest.mark.parametrize("peak", [1e-300, 3.0, 1e200, 1e307], ids=["below-guard", "ordinary", "huge", "above-guard"])
+@pytest.mark.parametrize("n", [1, 4, 5, 10])
+def test_no_route_writes_or_returns_the_callers_samples(n, peak):
+    x = at_peak(n, peak)
+    before = x.copy()
+    x.setflags(write=False)  # a write raises, not only shows in the comparison
+    for out in (
+        tr.fwht_natural(x),
+        tr.fwht_natural(tr.Coefficients(x, tr.NATURAL)),
+        tr.wht_sequency(x),
+        tr.wht_sequency(tr.Coefficients(x, tr.SEQUENCY), inverse=True),
+    ):
+        assert not np.shares_memory(out.values, x)
+    assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
 
 
 def test_parseval_both_orderings():
