@@ -93,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="apply a Walsh-Hadamard transform to a CSV signal")
     p.add_argument("--order", choices=(transforms.NATURAL, transforms.SEQUENCY), default=transforms.SEQUENCY)
-    p.add_argument("--inverse", action="store_true")
+    p.add_argument("--inverse", action="store_true",
+                   help="transform back; both orderings are self-inverse, so this computes the same product")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(run=_cmd_transform)

@@ -307,7 +307,8 @@ class _PendingMap:
         """
         n = len(self.columns)
         if not self.flips_only():
-            np.take(amps, gf2_index(self.columns, self.offset), out=spare)
+            # gf2_index stays in range; mode="raise" would buffer the take
+            np.take(amps, gf2_index(self.columns, self.offset), out=spare, mode="clip")
         elif self.offset:
             shape = (2,) * n
             # the qubit-q axis of the reshaped view is axis n-1-q

@@ -23,7 +23,9 @@ _hadamard_layer is the package's one H kernel, shared with the simulator
 and checked against the dense sequency matrix and a fold of the
 simulator's one-qubit H gates. The classical transforms run it on the
 caller's samples with the unitary scale folded in; _scaled_fwht says when
-they sum in peak units instead (a coefficient beyond float64 raises).
+they sum in peak units instead (a coefficient beyond float64 raises). Both
+orderings are self-inverse, so each is one route: wht_sequency is the
+natural transform, then one gather into the buffer the kernel freed.
 
 The sequency map (prefix XORs of the index bits, in reversed bit order) and
 its inverse are GF(2)-linear; gf2_index builds both and the simulator's
@@ -299,15 +301,15 @@ def _hadamard_layer(a: np.ndarray, spare: np.ndarray, qubits, scale: float = 1.0
     return a, spare
 
 
-def _scaled_fwht(values: np.ndarray, back=None) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_fwht(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Natural-order transform of values with unitary scaling; returns it and a free buffer.
 
     One max/min scan finds the peak. In [2**-900, 2**900] it bounds every
     partial sum by N * peak < 2**964 (N < 2**64): the kernel reads values,
-    writes spare and back (fresh unless given) and folds 2**(-n/2) into its
-    last block for even n; odd n keeps one multiply by 1/sqrt(N). Other
-    peaks go through peak_units (which rejects nan and inf), are summed in
-    its units, checked against float64 and multiplied back. Where every
+    writes two fresh buffers and folds 2**(-n/2) into its last block for
+    even n; odd n keeps one multiply by 1/sqrt(N). Other peaks go through
+    peak_units (which rejects nan and inf), are summed in its units on the
+    divided copy, checked against float64 and multiplied back. Where every
     sample is 0 or at least 2**-900 * max(1, unit) the two give the same
     bits, as power-of-two scaling commutes with normal-range rounding; the
     underflow of smaller ones (the divided copy's too) moves a coefficient
@@ -317,10 +319,10 @@ def _scaled_fwht(values: np.ndarray, back=None) -> tuple[np.ndarray, np.ndarray]
     unit = None
     if not 2.0 ** -900 <= max(float(values.max()), -float(values.min())) <= 2.0 ** 900:
         unit, (values,) = peak_units(values)
-        back = values
     fold = unit is None and n % 2 == 0
+    # the divided copy is the kernel's own to overwrite; the caller's samples are not
     out, free = _hadamard_layer(values, np.empty_like(values), range(n), 0.5 ** (n // 2) if fold else 1.0,
-                                np.empty_like(values) if back is None else back)
+                                np.empty_like(values) if unit is None else None)
     if not fold:
         out *= 1.0 / np.sqrt(out.size)
     if unit is not None:
@@ -348,24 +350,19 @@ def fwht_natural(v) -> Coefficients:
 def wht_sequency(v, inverse: bool = False) -> Coefficients:
     """Walsh-Hadamard transform in sequency ordering.
 
-    Forward: natural-order fast transform, then place the coefficient of
-    natural row s at sequency position g = sequency_of(s, n). Inverse: apply
-    the permutation the other way round, then the fast transform. The matrix
-    is symmetric and self-inverse, so forward applied twice is the identity;
-    the inverse flag picks the structurally reversed computation. The order
-    tag flips between "time" and "sequency".
+    Natural-order fast transform, then place the coefficient of natural row
+    s at sequency position g = sequency_of(s, n). The matrix is symmetric
+    and orthogonal, so it is its own inverse and the same product goes back;
+    inverse is kept for callers that name the direction and changes no bit.
+    The order tag flips between "time" and "sequency".
     """
     v = _as_coefficients(v)
     if v.order_tag == NATURAL:
         raise ValueError("natural-tagged input; use fwht_natural to go back")
     n = bit_width(len(v))
-    if inverse:
-        gathered = v.values[_sequency_index(n)]
-        out, _ = _scaled_fwht(gathered, back=gathered)
-    else:
-        # into the buffer the kernel freed; mode="raise" would buffer the take
-        out, free = _scaled_fwht(v.values)
-        out = np.take(out, _sequency_index(n, inverse=True), out=free, mode="clip")
+    out, free = _scaled_fwht(v.values)
+    # into the buffer the kernel freed; mode="raise" would buffer the take
+    out = np.take(out, _sequency_index(n, inverse=True), out=free, mode="clip")
     tag = SEQUENCY if v.order_tag == TIME else TIME
     return Coefficients(out, tag)
 

@@ -50,6 +50,20 @@ def test_transform_is_involutive_without_inverse_flag(tmp_path, square_csv):
     np.testing.assert_allclose(_read_values(back), values, atol=1e-12)
 
 
+@pytest.mark.parametrize("order", [transforms.SEQUENCY, transforms.NATURAL])
+def test_transform_inverse_flag_writes_the_same_file(tmp_path, capsys, order):
+    # both orderings are self-inverse, so --inverse computes the same product
+    src = tmp_path / "sig.csv"
+    _write_signal(src, np.random.default_rng(4096).standard_normal(4096))
+    runs = []
+    for flags in ([], ["--inverse"]):
+        out = tmp_path / f"out{len(flags)}.csv"
+        code = main(["transform", "--order", order, *flags, "--input", str(src), "--output", str(out)])
+        runs.append((code, out.read_bytes(), capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][2].startswith("parseval:")
+
+
 def test_transform_natural_order(tmp_path, square_csv):
     src, values = square_csv
     out = tmp_path / "nat.csv"

@@ -610,7 +610,7 @@ def test_folded_sum_keeps_the_bits_of_the_guarded_sum(x):
     # at least 2**-900 * max(1, unit); otherwise within the first-order
     # underflow bound of _scaled_fwht
     n = x.size.bit_length() - 1
-    forward, inverse = tr.natural_to_sequency_perm(n)
+    _, inverse = tr.natural_to_sequency_perm(n)
     exact = not _GUARD[0] <= np.max(np.abs(x)) <= _GUARD[1]
     if not exact:
         unit = tr.peak_units(x)[0]
@@ -619,7 +619,7 @@ def test_folded_sum_keeps_the_bits_of_the_guarded_sum(x):
     routes = (
         (tr.fwht_natural, lambda: guarded_sum(x)),
         (tr.wht_sequency, lambda: guarded_sum(x)[inverse]),
-        (lambda v: tr.wht_sequency(tr.Coefficients(v, tr.SEQUENCY), inverse=True), lambda: guarded_sum(x[forward])),
+        (lambda v: tr.wht_sequency(tr.Coefficients(v, tr.SEQUENCY), inverse=True), lambda: guarded_sum(x)[inverse]),
     )
     for route, reference in routes:
         try:
@@ -633,6 +633,15 @@ def test_folded_sum_keeps_the_bits_of_the_guarded_sum(x):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         else:
             assert np.max(np.abs(got - want)) <= bound
+    # the inverse flag names a direction and changes no bit
+    try:
+        forward_bits = tr.wht_sequency(tr.Coefficients(x, tr.SEQUENCY)).values.view(np.uint64)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            tr.wht_sequency(tr.Coefficients(x, tr.SEQUENCY), inverse=True)
+    else:
+        inverse_bits = tr.wht_sequency(tr.Coefficients(x, tr.SEQUENCY), inverse=True).values.view(np.uint64)
+        assert np.array_equal(inverse_bits, forward_bits)
 
 
 @pytest.mark.parametrize("peak", [1e-300, 3.0, 1e200, 1e307], ids=["below-guard", "ordinary", "huge", "above-guard"])
