@@ -124,10 +124,11 @@ def load_csv(path) -> Coefficients:
     The first row is skipped if it does not parse as numbers; any later parse
     failure is an error, and so is a nan or inf sample. Rows with several
     comma-separated fields contribute their last field, so 'index,value' files
-    load unchanged.
+    load unchanged. A leading UTF-8 byte-order mark, as Excel writes, is
+    dropped.
     """
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh):
             line = raw.strip()
             if not line:

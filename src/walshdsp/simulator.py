@@ -20,19 +20,18 @@ where it must:
   Hadamard kernel, transforms._hadamard_layer (Good's interaction algorithm):
   one matmul per block of consecutive qubits into a spare buffer, with the
   unitary scale 2**(-k/2) folded into the last block;
-* X/CNOT/SWAP gates are a GF(2)-affine map of the basis indices. They are
-  not applied but composed into a pending map, which relabels the index
-  bits (Haener & Steiger, SC17). The map is materialised only before an H
-  run, before an MCX run it does not carry (below), and at the end: as a copy
-  through np.flip when it only flips bits, as one gather through a
-  transforms.gf2_index array otherwise, and not at all when it has come
-  back to the identity, as uz followed by its inverse does;
-* an MCX gate swaps the two halves of the sub-cube where its controls hold,
-  read through the pending map: when the map fixes the target and sends
-  that sub-cube onto the storage sub-cube of some fixed bits, as uz does
-  for every selector gate, the gate is three exact copies between two
-  strided views of the amplitudes, through the spare buffer; otherwise the
-  map is materialised before the gate's run.
+* CNOT/SWAP gates are a GF(2)-linear map of the basis indices. They are not
+  applied but composed into a pending map, which relabels the index bits
+  (Haener & Steiger, SC17). The map is materialised only before an H run,
+  before an X or MCX run it does not carry (below), and at the end: as one
+  gather through a transforms.gf2_index array, and not at all when it has
+  come back to the identity, as uz followed by its inverse does;
+* an X or MCX gate (an X is an MCX with no controls) swaps the two halves of
+  the sub-cube where its controls hold, read through the pending map: when
+  the map fixes the target and sends that sub-cube onto the storage sub-cube
+  of some fixed bits, as uz does for every selector gate, the gate is three
+  exact copies between two strided views of the amplitudes, through the
+  spare buffer; otherwise the map is materialised before the gate's run.
 
 The layers come from the gate list alone. apply_gate keeps the per-gate
 index-array kernel as the slow reference the compiled path is tested
@@ -60,9 +59,8 @@ GATE_OPERANDS = {"H": ("qubit",), "X": ("qubit",), "CNOT": ("control", "target")
                  "SWAP": ("a", "b"), "MCX": ("controls", "target")}
 GATE_KINDS = tuple(GATE_OPERANDS)
 _ARITY = {kind: len(names) for kind, names in GATE_OPERANDS.items() if kind != "MCX"}
-_PERMUTATION_KINDS = ("X", "CNOT", "SWAP")
+_PERMUTATION_KINDS = ("CNOT", "SWAP")
 _KIND, _QUBITS = attrgetter("kind"), attrgetter("qubits")
-_TARGET = attrgetter("target")
 _NORM_TOL = 1e-10
 _RSQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -244,17 +242,12 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
 def _runs(gates):
     """Split a gate list into layers, in order, as (kind, run) pairs.
 
-    A layer is a run of X/CNOT/SWAP gates of one kind, a run of MCX gates on
-    one target, or a run of H gates on distinct qubits, given as the list of
-    those qubits. Distinct qubits make an H run one Kronecker product of
-    Hadamard blocks; no gate of an MCX run controls on the shared target, so
-    the run's gates commute.
+    A layer is a run of gates of one kind, except that an H run holds
+    distinct qubits and is given as the list of those qubits: that makes it
+    one Kronecker product of Hadamard blocks.
     """
     for kind, group in groupby(gates, _KIND):
-        if kind == "MCX":
-            for _, run in groupby(group, _TARGET):
-                yield kind, list(run)
-        elif kind == "H":
+        if kind == "H":
             run = []
             for gate in group:
                 if gate.qubits[0] in run:
@@ -267,60 +260,41 @@ def _runs(gates):
 
 
 class _PendingMap:
-    """X/CNOT/SWAP gates composed but not yet applied to the amplitudes.
+    """CNOT/SWAP gates composed but not yet applied to the amplitudes.
 
-    Every such gate is an affine involution of the index bits, so the run
-    so far is affine over GF(2). The amplitude it would put at index j still
-    sits at source(j) = A j ^ offset; columns[b] = A e_b, and composing one
-    more gate on the right is O(1).
+    Every such gate is a linear involution of the index bits, so the run so
+    far is linear over GF(2). The amplitude it would put at index j still
+    sits at source(j) = A j; columns[b] = A e_b, and composing one more gate
+    on the right is O(1).
     """
 
     def __init__(self, n_qubits: int):
         self.identity = [1 << b for b in range(n_qubits)]
         self.columns = list(self.identity)
-        self.offset = 0
         self.qubits = frozenset(range(n_qubits))
 
-    def flips_only(self) -> bool:
-        return self.columns == self.identity
-
     def compose(self, run: list[Gate]) -> None:
-        """Compose a run of X/CNOT/SWAP gates on the right, in order."""
+        """Compose a run of CNOT/SWAP gates on the right, in order."""
         columns = self.columns
         for gate in run:
-            if gate.kind == "X":
-                self.offset ^= columns[gate.qubits[0]]
-            elif gate.kind == "CNOT":
-                control, target = gate.qubits
-                columns[control] ^= columns[target]
+            a, b = gate.qubits
+            if gate.kind == "CNOT":  # a controls b
+                columns[a] ^= columns[b]
             else:
-                a, b = gate.qubits
                 columns[a], columns[b] = columns[b], columns[a]
 
     def flush(self, amps: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Apply the map into spare, unless it is the identity; returns the
-        swapped pair and leaves the map empty.
-
-        A map that only flips bits is a copy through np.flip over their axes
-        of the amplitudes reshaped to one axis per qubit; any other map is
-        one gather, out[j] = amps[source(j)].
-        """
-        n = len(self.columns)
-        if not self.flips_only():
-            # gf2_index stays in range; mode="raise" would buffer the take
-            np.take(amps, gf2_index(self.columns, self.offset), out=spare, mode="clip")
-        elif self.offset:
-            shape = (2,) * n
-            # the qubit-q axis of the reshaped view is axis n-1-q
-            flipped = [n - 1 - q for q in range(n) if (self.offset >> q) & 1]
-            np.copyto(spare.reshape(shape), np.flip(amps.reshape(shape), flipped))
-        else:
+        """Gather through the map into spare, out[j] = amps[source(j)], unless
+        it is the identity; returns the swapped pair and leaves the map empty."""
+        if self.columns == self.identity:
             return amps, spare
-        self.columns, self.offset = list(self.identity), 0
+        # gf2_index stays in range; mode="raise" would buffer the take
+        np.take(amps, gf2_index(self.columns), out=spare, mode="clip")
+        self.columns = list(self.identity)
         return spare, amps
 
     def sub_cube(self, gate: Gate):
-        """Where an MCX gate acts in storage, as (shape, lo, hi); None if the map does not carry it.
+        """Where an X or MCX gate acts in storage, as (shape, lo, hi); None if the map does not carry it.
 
         The gate swaps logical j and j ^ e_t on the sub-cube where its
         controls hold. The map sends that sub-cube to source(j0) ^
@@ -335,7 +309,7 @@ class _PendingMap:
         if columns[t] != 1 << t:
             return None
         closed = compress(gate.qubits, map(CLOSED.__eq__, gate.polarities))
-        fixed = reduce(xor, map(columns.__getitem__, closed), self.offset)
+        fixed = reduce(xor, map(columns.__getitem__, closed), 0)
         free_qubits = self.qubits.difference(gate.qubits[:-1])
         free = reduce(or_, map(columns.__getitem__, free_qubits))
         if bin(free).count("1") != len(free_qubits):
@@ -362,7 +336,7 @@ def run_circuit(state: Statevector, circuit) -> Statevector:
 
     The input amplitudes are read, never written: the first layer that
     moves them writes a buffer of its own, and they are copied only where
-    an MCX run or the end of the circuit comes first.
+    an X or MCX run or the end of the circuit comes first.
     """
     n = state.n_qubits
     if circuit.n_qubits != n:

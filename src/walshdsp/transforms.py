@@ -28,9 +28,10 @@ orderings are self-inverse, so each is one route: wht_sequency is the
 natural transform, then one gather into the buffer the kernel freed.
 
 The sequency map (prefix XORs of the index bits, in reversed bit order) and
-its inverse are GF(2)-linear; gf2_index builds both and the simulator's
-permutation layers. The oracles, a brute-force zero-crossing count and the
-dense sequency matrix, refuse bit widths above BRUTE_FORCE_BOUND.
+its inverse are GF(2)-linear; gf2_index builds both and the gather of the
+simulator's pending CNOT/SWAP map. The oracles, a brute-force zero-crossing
+count and the dense sequency matrix, refuse bit widths above
+BRUTE_FORCE_BOUND.
 """
 
 from __future__ import annotations
@@ -221,11 +222,11 @@ def zero_crossings_bruteforce(s: int, n: int) -> int:
     return int(np.abs(np.diff(signs)).sum()) // 2
 
 
-def gf2_index(columns, offset: int = 0) -> np.ndarray:
-    """Entry j is offset XOR the columns picked by the bits of j, j < 2**len(columns)."""
-    def span(cols, base):
+def gf2_index(columns) -> np.ndarray:
+    """Entry j is the XOR of the columns picked by the bits of j, j < 2**len(columns)."""
+    def span(cols):
         # Python ints while the table is short, numpy doublings after
-        table = [base]
+        table = [0]
         for col in cols[:6]:
             table += [entry ^ col for entry in table]
         table = np.array(table, dtype=np.intp)
@@ -234,7 +235,7 @@ def gf2_index(columns, offset: int = 0) -> np.ndarray:
         return table
 
     low = len(columns) // 2
-    return (span(columns[low:], offset)[:, None] ^ span(columns[:low], 0)[None, :]).ravel()
+    return (span(columns[low:])[:, None] ^ span(columns[:low])[None, :]).ravel()
 
 
 def natural_to_sequency_perm(n: int) -> tuple[np.ndarray, np.ndarray]:

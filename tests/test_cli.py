@@ -64,6 +64,20 @@ def test_transform_inverse_flag_writes_the_same_file(tmp_path, capsys, order):
     assert runs[0][0] == 0 and runs[0][2].startswith("parseval:")
 
 
+def test_transform_reads_past_a_byte_order_mark(tmp_path):
+    # a UTF-8 byte-order mark before the first of 8 samples must not cost
+    # that sample (which left 7, not a power of two)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    _write_signal(plain, np.random.default_rng(8).standard_normal(8))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = []
+    for src in (plain, marked):
+        out = tmp_path / f"{src.stem}.out.csv"
+        assert main(["transform", "--input", str(src), "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_transform_natural_order(tmp_path, square_csv):
     src, values = square_csv
     out = tmp_path / "nat.csv"

@@ -176,6 +176,20 @@ def test_csv_header_skipped(tmp_path):
     assert sg.load_csv(path).values.tolist() == [1.5, 2.5]
 
 
+@pytest.mark.parametrize("header", [False, True])
+@pytest.mark.parametrize("with_index", [False, True])
+def test_csv_byte_order_mark_keeps_every_sample(tmp_path, header, with_index):
+    # Excel and PowerShell start a UTF-8 file with U+FEFF; it must not make
+    # the first sample fail to parse and be skipped as a header
+    values = [0.5, -1.25, 2.0, 3.0, -4.5, 6.0, 7.25, -8.0, 9.0]
+    rows = [f"{i},{v!r}" if with_index else repr(v) for i, v in enumerate(values)]
+    if header:
+        rows.insert(0, "index,value" if with_index else "value")
+    path = tmp_path / "v.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + "\n".join(rows).encode("ascii") + b"\n")
+    assert sg.load_csv(path).values.tolist() == values
+
+
 def test_csv_bad_row_raises(tmp_path):
     path = tmp_path / "v.csv"
     path.write_text("1.0\nnot-a-number\n2.0\n")

@@ -245,7 +245,7 @@ def assert_matches_gate_fold_and_matrix_product(circuit, complex_state, seed):
 
 @settings(max_examples=150, deadline=None)
 @given(gate_lists(), st.booleans(), st.integers(0, 2**32 - 1))
-# X on several qubits, flushed before an H run as a flip with no index
+# X on several qubits, each a swap of the state's two halves on its qubit
 @example(Circuit(4, (sim.x(0), sim.x(2), sim.x(3), sim.h(0), sim.h(1), sim.h(3))), False, 0)
 # a lone SWAP with nothing pending, gathered before an H run
 @example(Circuit(3, (sim.swap(0, 2), sim.h(1))), True, 1)
@@ -261,8 +261,9 @@ def conjugated_circuits(draw):
     controlled on the target, SWAP not touching it), so that the pending map
     fixes the target; the other half draw P freely, and a P that moves the
     target, or does not carry some gate's sub-cube, is flushed before the MCX
-    run. Reversing P cancels the pending map; a new permutation run is flushed
-    at the end.
+    run. An X in P is applied where it stands, after a flush if the map moves
+    its qubit. Reversing P cancels the pending map unless such a flush came
+    between; a map left pending is flushed at the end.
     """
     n = draw(st.integers(2, 6))
     target = draw(st.integers(0, n - 1))
@@ -299,7 +300,8 @@ def conjugated_circuits(draw):
 @example(build_filter_circuit(4, FilterSpec.high_pass(5), swapped=True), True, 1)
 @example(build_filter_circuit(5, FilterSpec.band_pass(3, 27)), False, 2)
 @example(build_filter_circuit(5, FilterSpec.dc(), swapped=True), True, 3)
-# an X on the MCX run's target: the sub-cubes under a pure offset
+# X gates on the MCX run's target, before and after it: each swaps the halves
+# of the whole state
 @example(Circuit(3, (sim.x(2), sim.mcx([(0, sim.OPEN), (1, sim.CLOSED)], 2), sim.mcx([(1, sim.OPEN)], 2),
                      sim.x(2))), False, 4)
 def test_conjugated_mcx_runs_match_gate_fold_and_matrix_product(circuit, complex_state, seed):
@@ -313,9 +315,9 @@ def count_gf2_indices(monkeypatch) -> list[int]:
     """Patch the simulator's gf2_index to record each index's column count."""
     sizes: list[int] = []
 
-    def counting(columns, offset=0):
+    def counting(columns):
         sizes.append(len(columns))
-        return gf2_index(columns, offset)
+        return gf2_index(columns)
 
     monkeypatch.setattr(sim, "gf2_index", counting)
     return sizes
@@ -325,8 +327,8 @@ def count_gf2_indices(monkeypatch) -> list[int]:
 def test_filter_circuits_defer_uz_and_make_no_gather(monkeypatch, swapped):
     # uz carries each selector gate's sub-cube onto a storage sub-cube, so
     # the selector swaps two strided views per gate, and uz inverse cancels
-    # uz; the dc circuit has no uz, and its leading X (swapped) is a flip:
-    # no circuit builds an index array
+    # uz; the dc circuit has no uz, and a leading X is a swap of the state's
+    # two halves: no circuit builds an index array
     n = 10
     sizes = count_gf2_indices(monkeypatch)
     state = random_real_state(n + 1)
@@ -397,7 +399,7 @@ def test_uz_gather_index_is_the_inverse_sequency_map(n):
     pending = sim._PendingMap(n)
     pending.compose(build_uz(n).gates)
     forward, inverse = natural_to_sequency_perm(n)
-    source = gf2_index(pending.columns, pending.offset)
+    source = gf2_index(pending.columns)
     assert source.dtype == inverse.dtype
     assert np.array_equal(source, inverse)
     image = np.empty_like(source)
@@ -409,10 +411,11 @@ def test_uz_gather_index_is_the_inverse_sequency_map(n):
 def prefixed_mcx_runs(draw):
     """An X/CNOT/SWAP prefix on up to 8 qubits, then one to three MCX runs.
 
-    Each run's target is drawn from the qubits the prefix's map fixes, where
+    Each run's target is drawn from the qubits the pending map fixes, where
     each gate whose sub-cube the map carries is one swap of two sub-views, or
-    from those it moves, where the map is flushed first; an X on a fixed
-    target leaves it fixed and only sets the map's offset there.
+    from those it moves, where the map is flushed first. The map is the
+    prefix's CNOT/SWAP gates since its last flush: an X on a qubit the map
+    moves flushes it, and an X on a fixed qubit leaves it as it is.
     """
     n = draw(st.integers(2, 8))
     qubit = st.integers(0, n - 1)
@@ -425,7 +428,11 @@ def prefixed_mcx_runs(draw):
             a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
             prefix.append(sim.cnot(a, b) if pick == "CNOT" else sim.swap(a, b))
     pending = sim._PendingMap(n)
-    pending.compose(prefix)
+    for gate in prefix:
+        if gate.kind != "X":
+            pending.compose([gate])
+        elif pending.sub_cube(gate) is None:
+            pending = sim._PendingMap(n)
     fixed = [q for q in range(n) if pending.columns[q] == 1 << q]
     moved = [q for q in range(n) if q not in fixed]
     runs = []
@@ -443,14 +450,14 @@ def prefixed_mcx_runs(draw):
 @settings(max_examples=200, deadline=None)
 @given(prefixed_mcx_runs(), st.booleans(), st.integers(0, 2**32 - 1))
 # uz on the seven low qubits and a selector-like run on the top one, as in a
-# filter circuit, with an X setting the offset's bit at the target
+# filter circuit, with an X on the target between uz and the run
 @example(Circuit(8, (*build_uz(7).gates, sim.x(7), sim.mcx([(6, sim.OPEN), (5, sim.CLOSED)], 7),
                      sim.mcx([(0, sim.CLOSED)], 7))), False, 0)
 # a fixed target in the middle, the map moving bits on both sides of it
 @example(Circuit(5, (sim.cnot(0, 1), sim.swap(3, 4), sim.cnot(4, 0), sim.x(2),
                      sim.mcx([(1, sim.OPEN), (4, sim.CLOSED)], 2), sim.mcx([], 2))), True, 1)
 # a moved target: the map is flushed before the run
-@example(Circuit(3, (sim.cnot(2, 0), sim.mcx([(1, sim.CLOSED)], 0))), True, 2)
+@example(Circuit(3, (sim.cnot(0, 2), sim.mcx([(1, sim.CLOSED)], 0))), True, 2)
 # a fixed target, but the map sends the free qubits 0 and 2 to three storage
 # bits, so it does not carry the gate's sub-cube and is flushed first
 @example(Circuit(3, (sim.cnot(0, 1), sim.mcx([(1, sim.OPEN)], 2))), False, 3)
@@ -458,6 +465,14 @@ def prefixed_mcx_runs(draw):
 @example(Circuit(3, (sim.swap(0, 1), sim.x(0), sim.mcx([(0, sim.CLOSED), (1, sim.OPEN)], 2))), True, 4)
 # no controls under a map that is not the identity: the whole state's halves
 @example(Circuit(3, (sim.cnot(1, 0), sim.x(2), sim.mcx([], 0))), False, 5)
+# an X on a target the map moves: the map is flushed first, and the MCX
+# after it runs under the identity
+@example(Circuit(3, (sim.cnot(0, 2), sim.x(0), sim.mcx([(1, sim.CLOSED)], 2))), True, 6)
+# an X right after an MCX on the same target, both under a SWAP
+@example(Circuit(3, (sim.swap(0, 1), sim.mcx([(0, sim.OPEN)], 2), sim.x(2), sim.mcx([(1, sim.CLOSED)], 2))),
+         False, 7)
+# an X on a 1-qubit register: the halves are 0-d views
+@example(Circuit(1, (sim.x(0),)), True, 8)
 def test_mcx_sub_cubes_through_the_pending_map_match_gate_fold(circuit, complex_state, seed):
     # every gate here only moves amplitudes, so the compiled path must give
     # the fold's bits exactly
