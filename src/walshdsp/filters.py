@@ -1,11 +1,12 @@
 """Sequency-domain filtering, quantum path and classical oracle path.
 
-The quantum path amplitude-encodes the signal, adds an ancilla qubit on top,
-runs the filter circuit and splits the final state on the ancilla: outcome 0
-is the pass component, outcome 1 the stop component (swapped=True exchanges
-the roles by toggling the circuit's leading X). Branches come back in the
-signal's physical units, rescaled by the encoding norm, so they compare
-directly against the classical path.
+The quantum path amplitude-encodes the signal into n qubits, runs the
+filter circuit on it (the ancilla on top starts in |0>, which run_circuit
+keeps as a known bit until the selector) and splits the final state on the
+ancilla: outcome 0 is the pass component, outcome 1 the stop component
+(swapped=True exchanges the roles by toggling the circuit's leading X).
+Branches come back in the signal's physical units, rescaled by the encoding
+norm, so they compare directly against the classical path.
 
 The classical path transforms in natural order, zeroes the rows whose sequency
 lies outside (pass) or inside (stop) the retained set, and transforms back.
@@ -157,11 +158,8 @@ def filter_quantum(signal, spec: FilterSpec, *, swapped: bool = False) -> Filter
     signal, n = time_signal(signal)
     circuit = circuits.build_filter_circuit(n, spec, swapped=swapped)
     encoded, scale = simulator.amplitude_encode(signal)
-    # ancilla |0> on top: amplitudes occupy the lower half of the larger index space
-    amps = np.zeros(2 << n)
-    amps[: 1 << n] = encoded.amplitudes
-    state = simulator.Statevector(n + 1, amps)
-    final = simulator.run_circuit(state, circuit)
+    # the ancilla on top starts in |0>, as run_circuit reads the n-qubit state
+    final = simulator.run_circuit(encoded, circuit)
     pass_outcome = 1 if swapped else 0
     pass_amps, p_pass = simulator.project_ancilla(final, n, pass_outcome)
     stop_amps, p_stop = simulator.project_ancilla(final, n, 1 - pass_outcome)

@@ -32,11 +32,22 @@ where it must:
   of some fixed bits, as uz does for every selector gate, the gate is three
   exact copies between two strided views of the amplitudes, through the
   spare buffer; otherwise the map is materialised before the gate's run.
+  A run that reads the caller's input copies it once and writes its first
+  gate's two halves from the input into that copy;
+* a state narrower than the circuit has its qubits above it in |0>, and
+  they are kept as known bits: the amplitudes are those of the block the
+  bits pick, an X on one flips its bit and moves nothing. The first other
+  layer that touches one (for a filter circuit, the selector's MCX run on
+  the ancilla) widens the state: the amplitudes are written into their
+  block of a fresh zeroed state of the circuit's width. The pending map's
+  columns for those qubits are still the identity, so it carries on as it
+  was. A circuit that never touches them is widened once at the end.
 
 The layers come from the gate list alone. apply_gate keeps the per-gate
 index-array kernel as the slow reference the compiled path is tested
-against. The H kernel is shared with the classical transforms, so the tests
-and verify check it against this gate fold and the sequency matrix.
+against; it pads a state narrower than its gate with |0> qubits
+explicitly. The H kernel is shared with the classical transforms, so the
+tests and verify check it against this gate fold and the sequency matrix.
 """
 
 from __future__ import annotations
@@ -232,11 +243,16 @@ def _apply_inplace(amps: np.ndarray, gate: Gate) -> None:
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
-    """Apply one gate, returning a new state; the input is untouched."""
-    check_register((gate,), state.n_qubits)
-    amps = state.amplitudes.copy()
+    """Apply one gate, returning a new state; the input is untouched.
+
+    A state narrower than the gate's highest qubit is first padded with |0>
+    qubits on top, as run_circuit reads a state narrower than its circuit.
+    """
+    n = max(state.n_qubits, max(gate.qubits) + 1)
+    amps = np.zeros(1 << n, state.amplitudes.dtype)
+    amps[: state.amplitudes.size] = state.amplitudes
     _apply_inplace(amps, gate)
-    return Statevector(state.n_qubits, amps)
+    return Statevector(n, amps)
 
 
 def _runs(gates):
@@ -334,17 +350,33 @@ class _PendingMap:
 def run_circuit(state: Statevector, circuit) -> Statevector:
     """Apply a circuit's gates in order, compiled into layers (module docstring).
 
-    The input amplitudes are read, never written: the first layer that
-    moves them writes a buffer of its own, and they are copied only where
-    an X or MCX run or the end of the circuit comes first.
+    The state may be narrower than the circuit, never wider: the qubits
+    above it start in |0> and stay known bits until a layer other than X
+    touches one. The input amplitudes are read, never written: the first
+    layer that moves them, or the widening, writes a buffer of its own, and
+    they are copied only where an X or MCX run or the end of the circuit
+    comes first.
     """
-    n = state.n_qubits
-    if circuit.n_qubits != n:
-        raise ValueError(f"circuit on {circuit.n_qubits} qubits, state on {n}")
+    n, width = circuit.n_qubits, state.n_qubits
+    if width > n:
+        raise ValueError(f"circuit on {n} qubits, state on {width}")
+    known = 0  # the values of the known bits, qubit width + b at bit b
     source = amps = state.amplitudes
     spare = np.empty_like(amps)
-    pending = _PendingMap(n)
+    pending = _PendingMap(width)
     for kind, run in _runs(circuit.gates):
+        if width < n:
+            if kind == "X":
+                known ^= reduce(xor, (1 << gate.qubits[0] for gate in run), 0) >> width
+                if not (run := [gate for gate in run if gate.qubits[0] < width]):
+                    continue
+            elif max(run if kind == "H" else chain.from_iterable(map(_QUBITS, run))) >= width:
+                # the map has moved only the qubits below width
+                columns, pending = pending.columns, _PendingMap(n)
+                pending.columns[:width] = columns
+                # the narrow spare is freed before the wide one is taken
+                amps, spare, width = _widen(amps, known, width, n), None, n
+                spare = np.empty_like(amps)
         if kind in _PERMUTATION_KINDS:
             pending.compose(run)
             continue
@@ -360,24 +392,45 @@ def run_circuit(state: Statevector, circuit) -> Statevector:
             # a layer reading the input writes two buffers of its own in turn
             back = np.empty_like(amps) if amps is source else None
             amps, spare = _hadamard_layer(amps, spare, run, 2 ** (-len(run) / 2), back)
-        else:
-            if amps is source:
-                amps = amps.copy()
-            for shape, lo, hi in cubes:
-                states, buffer = amps.reshape(shape), spare.reshape(shape)
-                np.copyto(buffer[lo], states[lo])
-                np.copyto(states[lo], states[hi])
-                np.copyto(states[hi], buffer[lo])
+            continue
+        if amps is source:
+            # the first swap writes its two halves from the input into a
+            # copy; with no controls the halves are the whole state
+            (shape, lo, hi), *cubes = cubes
+            if len(run[0].qubits) > 1:
+                np.copyto(spare, amps)
+            states, copy = amps.reshape(shape), spare.reshape(shape)
+            np.copyto(copy[lo], states[hi])
+            np.copyto(copy[hi], states[lo])
+            amps, spare = spare, np.empty_like(amps)
+        for shape, lo, hi in cubes:
+            states, buffer = amps.reshape(shape), spare.reshape(shape)
+            np.copyto(buffer[lo], states[lo])
+            np.copyto(states[lo], states[hi])
+            np.copyto(states[hi], buffer[lo])
     amps, _ = pending.flush(amps, spare)
+    if width < n:
+        return Statevector(n, _widen(amps, known, width, n))
     return Statevector(n, amps.copy() if amps is source else amps)
+
+
+def _widen(amps: np.ndarray, known: int, width: int, n: int) -> np.ndarray:
+    """amps on width qubits as a fresh state on n, the qubits above reading known."""
+    # each entry written once: a zeroed buffer would be written twice where amps go
+    blocks = np.empty((1 << (n - width), amps.size), amps.dtype)
+    blocks[:known] = 0
+    blocks[known] = amps
+    blocks[known + 1 :] = 0
+    return blocks.reshape(-1)
 
 
 def amplitude_encode(signal) -> tuple[Statevector, float]:
     """Normalize a signal into state amplitudes; returns (state, scale).
 
     scale is the signal's 2-norm, kept so callers can restore physical units
-    after measurement-style projections. Ancilla prepending is the caller's
-    job: a 2**n-sample signal encodes into exactly n qubits (n >= 1).
+    after measurement-style projections. A 2**n-sample signal encodes into
+    exactly n qubits (n >= 1); run_circuit reads the qubits a wider circuit
+    adds on top, such as a filter's ancilla, as |0>.
 
     The norm is taken in peak units, so huge or tiny samples neither overflow
     nor underflow it, and the amplitudes (x / unit) / norm keep the bits of

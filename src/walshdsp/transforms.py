@@ -269,10 +269,11 @@ def _hadamard_layer(a: np.ndarray, spare: np.ndarray, qubits, scale: float = 1.0
     bits (Good's interaction algorithm). A block of g bits from bit lo
     multiplies the middle axis of the (outer, 2**g, 2**lo) view by its sign
     matrix, scale folded into the last one (from the right on (rows, 2**g)
-    when lo = 0), in BLAS products of at most _BLOCK_COLUMNS columns (rows).
-    The first block reads a; the blocks write spare and back in turn, back
-    being a itself unless another buffer is given, which leaves a unwritten.
-    Real or complex a.
+    when lo = 0), in BLAS products of at most _BLOCK_COLUMNS columns (rows);
+    a block that is the whole of a is one row of a two-row product, so a
+    block's bits do not depend on the size of a. The first block reads a;
+    the blocks write spare and back in turn, back being a itself unless
+    another buffer is given, which leaves a unwritten. Real or complex a.
     """
     qubits = sorted(qubits)
     blocks = []  # (lowest bit, width)
@@ -288,7 +289,12 @@ def _hadamard_layer(a: np.ndarray, spare: np.ndarray, qubits, scale: float = 1.0
         matrix = _HADAMARD_BLOCKS[g]
         if i == 0 and scale != 1.0:  # the last block
             matrix = matrix * scale
-        if lo == 0:
+        if a.size == 1 << g:
+            # numpy gives a one-row product to gemv, which rounds its sums
+            # otherwise than gemm: the row of a two-row product keeps a
+            # block's bits whatever the array's size
+            spare[:] = np.matmul(np.stack((a, a)), matrix)[0]
+        elif lo == 0:
             shape = (-1, min(a.size >> g, _BLOCK_COLUMNS), 1 << g)
             np.matmul(a.reshape(shape), matrix, out=spare.reshape(shape))
         elif 1 << lo <= _BLOCK_COLUMNS:

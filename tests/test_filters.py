@@ -226,6 +226,27 @@ def specs_for(size: int) -> list[flt.FilterSpec]:
     ]
 
 
+@pytest.mark.parametrize("swapped", [False, True])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_quantum_keeps_the_bits_of_the_padded_state(n, swapped):
+    # filter_quantum hands run_circuit the n-qubit encoded state, whose
+    # ancilla stays a known |0> bit until the selector; projecting the run on
+    # the explicitly padded state gives the same bits
+    signal = np.random.default_rng(200 + n).standard_normal(1 << n)
+    encoded, scale = sim.amplitude_encode(signal)
+    amps = np.zeros(2 << n)
+    amps[: 1 << n] = encoded.amplitudes
+    padded = sim.Statevector(n + 1, amps)
+    for spec in specs_for(1 << n):
+        result = flt.filter_quantum(signal, spec, swapped=swapped)
+        final = sim.run_circuit(padded, qc.build_filter_circuit(n, spec, swapped=swapped))
+        pass_amps, p_pass = sim.project_ancilla(final, n, int(swapped))
+        stop_amps, p_stop = sim.project_ancilla(final, n, 1 - int(swapped))
+        assert np.array_equal(result.pass_branch.values, pass_amps * scale)
+        assert np.array_equal(result.stop_branch.values, stop_amps * scale)
+        assert (result.p_pass, result.p_stop) == (p_pass, p_stop)
+
+
 @pytest.mark.parametrize("n", [17, 18])
 def test_quantum_matches_oracle_where_the_last_h_block_is_short(n):
     # 17 and 18 data qubits cut into H blocks of 4, 4, 4, 4 and then 1 or 2

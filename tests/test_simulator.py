@@ -327,14 +327,15 @@ def count_gf2_indices(monkeypatch) -> list[int]:
 def test_filter_circuits_defer_uz_and_make_no_gather(monkeypatch, swapped):
     # uz carries each selector gate's sub-cube onto a storage sub-cube, so
     # the selector swaps two strided views per gate, and uz inverse cancels
-    # uz; the dc circuit has no uz, and a leading X is a swap of the state's
-    # two halves: no circuit builds an index array
+    # uz; the dc circuit has no uz. A leading X swaps the two halves of the
+    # padded state and flips a known bit over the data qubits alone, where
+    # the widening keeps the map: no circuit builds an index array
     n = 10
     sizes = count_gf2_indices(monkeypatch)
-    state = random_real_state(n + 1)
-    for spec in (FilterSpec.low_pass(300), FilterSpec.high_pass(517), FilterSpec.band_pass(37, 901),
-                 FilterSpec.dc()):
-        sim.run_circuit(state, build_filter_circuit(n, spec, swapped=swapped))
+    for state in (random_real_state(n + 1), random_real_state(n)):
+        for spec in (FilterSpec.low_pass(300), FilterSpec.high_pass(517), FilterSpec.band_pass(37, 901),
+                     FilterSpec.dc()):
+            sim.run_circuit(state, build_filter_circuit(n, spec, swapped=swapped))
     assert sizes == []
 
 
@@ -561,13 +562,104 @@ def test_altering_one_filter_gate_changes_the_output(swapped):
 
 
 def test_run_circuit_qubit_count_mismatch():
-    with pytest.raises(ValueError):
-        sim.run_circuit(random_state(3), Circuit(4, ()))
+    # a narrower state is read with |0> qubits on top; a wider one is an error
+    with pytest.raises(ValueError, match="circuit on 3 qubits, state on 4"):
+        sim.run_circuit(random_state(4), Circuit(3, ()))
+    state = random_state(3)
+    out = sim.run_circuit(state, Circuit(4, ()))
+    assert out.n_qubits == 4
+    assert np.array_equal(out.amplitudes, padded(state, 4).amplitudes)
 
 
 def test_apply_gate_index_out_of_range():
-    with pytest.raises(ValueError):
-        sim.apply_gate(random_state(2), sim.h(2))
+    # a gate past the state's top qubit pads it with |0> qubits up to that
+    # qubit; a negative index is still refused when the gate is built
+    state = random_state(2)
+    out = sim.apply_gate(state, sim.h(3))
+    assert out.n_qubits == 4
+    assert np.array_equal(out.amplitudes, sim.apply_gate(padded(state, 4), sim.h(3)).amplitudes)
+    half = state.amplitudes * (1.0 / np.sqrt(2.0))
+    assert np.array_equal(out.amplitudes, np.concatenate([half, np.zeros(4), half, np.zeros(4)]))
+    with pytest.raises(ValueError, match="negative qubit index"):
+        sim.h(-1)
+
+
+def padded(state: sim.Statevector, n: int) -> sim.Statevector:
+    """state with |0> qubits on top, up to n qubits."""
+    amps = np.zeros(1 << n, state.amplitudes.dtype)
+    amps[: state.amplitudes.size] = state.amplitudes
+    return sim.Statevector(n, amps)
+
+
+# gates whose target is qubit 1, 2 or 3, which a narrow state holds as a known bit
+KNOWN_TARGET_GATES = [
+    sim.x(3),
+    sim.x(1),
+    sim.mcx([(0, sim.CLOSED)], 3),
+    sim.mcx([(0, sim.OPEN), (1, sim.CLOSED)], 2),
+]
+
+
+@st.composite
+def narrow_runs(draw):
+    """A circuit of gates from the 4-qubit catalog and a state 1-3 qubits narrower.
+
+    The qubits above the state start as known |0> bits: an X on one flips
+    it, and the first H, CNOT, SWAP or MCX run that touches one widens the
+    state. Runs of one kind are drawn so that X runs mix known and dense
+    targets.
+    """
+    catalog = GATE_CATALOG_4Q + KNOWN_TARGET_GATES
+    gates = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(sim.GATE_KINDS))
+        pool = [g for g in catalog if g.kind == kind] or catalog
+        gates += draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    return Circuit(4, tuple(gates)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(narrow_runs(), st.booleans(), st.integers(0, 2**32 - 1))
+# X gates on known bits only: no amplitude moves, and the end widens once
+@example((Circuit(4, (sim.x(3), sim.x(0), sim.x(2), sim.x(3))), 2), False, 0)
+# an X on a known bit, then the MCX run on it widens the state, as the
+# selector does in a filter circuit
+@example((Circuit(4, (sim.x(3), sim.h(0), sim.h(1), sim.swap(0, 2), sim.mcx([(0, sim.CLOSED)], 3))), 1), True, 1)
+# a pending SWAP on the dense qubits carried through the widening by a CNOT
+@example((Circuit(4, (sim.swap(0, 1), sim.cnot(0, 3), sim.h(1))), 2), False, 2)
+# an H on every qubit of a 1-qubit state, then one on a known bit
+@example((Circuit(4, (sim.h(0), sim.h(3))), 3), True, 3)
+def test_narrow_state_matches_gate_fold_and_padded_state(case, complex_state, seed):
+    circuit, narrower = case
+    width = circuit.n_qubits - narrower
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(1 << width)
+    if complex_state:
+        amps = amps + 1j * rng.standard_normal(1 << width)
+    state = sim.Statevector(width, amps / np.linalg.norm(amps))
+    before = state.amplitudes.copy()
+
+    compiled = sim.run_circuit(state, circuit)
+    assert compiled.n_qubits == circuit.n_qubits
+    assert compiled.amplitudes.dtype == state.amplitudes.dtype
+    assert np.array_equal(state.amplitudes, before)
+    folded = functools.reduce(sim.apply_gate, circuit.gates, state)
+    assert_allclose(compiled.amplitudes, padded(folded, circuit.n_qubits).amplitudes, atol=1e-12)
+    wide = sim.run_circuit(padded(state, circuit.n_qubits), circuit)
+    assert np.array_equal(compiled.amplitudes, wide.amplitudes)
+
+
+@pytest.mark.parametrize("name", INPUT_LAYER_CIRCUITS)
+def test_run_circuit_never_writes_a_narrower_input(name):
+    # the same circuits on 2 qubits under their 3: qubit 2 is a known bit
+    circuit = INPUT_LAYER_CIRCUITS[name]
+    state = random_state(2)
+    before = state.amplitudes.copy()
+    out = sim.run_circuit(state, circuit)
+    assert np.array_equal(state.amplitudes, before)
+    assert not np.shares_memory(out.amplitudes, state.amplitudes)
+    folded = functools.reduce(sim.apply_gate, circuit.gates, state)
+    assert_allclose(out.amplitudes, padded(folded, 3).amplitudes, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

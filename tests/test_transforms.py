@@ -490,6 +490,23 @@ def test_hadamard_kernel_matches_its_oracles(case):
         assert np.max(np.abs(got - want)) <= 4 * n * EPS * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("complex_input", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hadamard_block_bits_do_not_depend_on_the_array_size(n, complex_input):
+    # a lone block is one row, which numpy would give to gemv; the kernel
+    # keeps the bits gemm gives the same row of a larger array, so a state
+    # and its copy padded with |0> qubits on top give the same bits
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((64, 1 << n))
+    if complex_input:
+        rows = rows + 1j * rng.standard_normal(rows.shape)
+    scale = 2.0 ** (-n / 2)
+    whole, _ = tr._hadamard_layer(rows.ravel(), np.empty(rows.size, rows.dtype), range(n), scale)
+    for row, want in zip(rows, whole.reshape(rows.shape)):
+        alone, _ = tr._hadamard_layer(row, np.empty_like(row), range(n), scale)
+        assert np.array_equal(alone, want)
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-5, 1.0, 3.0, 7e5, 1e300])
 @pytest.mark.parametrize("n", [1, 4, 9])
 def test_peak_units_keep_the_bits_of_ordinary_input(n, scale):
