@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import index
 
 from walshdsp.simulator import (
@@ -70,11 +71,22 @@ class GateStats:
         }
 
 
-def _uz_gates(n: int) -> list[Gate]:
+# each size's gates are built and checked once and shared as immutable
+# tuples; callers pass the int that check_bits returns, so a bad n raises
+# before the cache is read, on every call
+_SIZES_CACHED = 64
+
+
+@lru_cache(maxsize=_SIZES_CACHED)
+def _h_layer(n: int) -> tuple[Gate, ...]:
+    """H on qubits 0..n-1."""
+    return tuple(map(h, range(n)))
+
+
+@lru_cache(maxsize=_SIZES_CACHED)
+def _uz_gates(n: int) -> tuple[Gate, ...]:
     """The uz gates on qubits 0..n-1: n-1 CNOTs, then floor(n/2) SWAPs."""
-    gates = [cnot(k - 1, k) for k in range(1, check_bits(n))]
-    gates += [swap(j, n - 1 - j) for j in range(n // 2)]
-    return gates
+    return tuple([cnot(k - 1, k) for k in range(1, n)] + [swap(j, n - 1 - j) for j in range(n // 2)])
 
 
 def build_uz(n: int) -> Circuit:
@@ -84,18 +96,20 @@ def build_uz(n: int) -> Circuit:
     reverse the qubit order so the prefix of the low bits lands in the high
     position. n=1 needs no gates.
     """
-    return Circuit(n, tuple(_uz_gates(n)), f"uz(n={n})")
+    n = check_bits(n)
+    return Circuit(n, _uz_gates(n), f"uz(n={n})")
 
 
 def build_uz_inverse(n: int) -> Circuit:
     """Reversed gate list of build_uz; every gate is its own inverse."""
-    return Circuit(n, tuple(reversed(_uz_gates(n))), f"uz-inverse(n={n})")
+    n = check_bits(n)
+    return Circuit(n, _uz_gates(n)[::-1], f"uz-inverse(n={n})")
 
 
 def build_sequency_wht(n: int) -> Circuit:
     """H on every qubit, then the sequency reordering."""
-    uz = _uz_gates(n)  # checks n first
-    return Circuit(n, tuple([h(q) for q in range(n)] + uz), f"sequency-wht(n={n})")
+    n = check_bits(n)
+    return Circuit(n, _h_layer(n) + _uz_gates(n), f"sequency-wht(n={n})")
 
 
 def _normalize_intervals(intervals, size: int) -> list[tuple[int, int]]:
@@ -131,7 +145,7 @@ def _dyadic_blocks(merged, n: int) -> list[tuple[int, int]]:
     return blocks
 
 
-def _selector_gates(blocks, n: int) -> list[Gate]:
+def _selector_gates(blocks, n: int) -> tuple[Gate, ...]:
     """One MCX on the ancilla per dyadic block, controlled by its high bits.
 
     The blocks of one size share one qubit tuple: data qubits n-1 down to t,
@@ -145,7 +159,7 @@ def _selector_gates(blocks, n: int) -> list[Gate]:
         # the n - t bits of m = start >> t, high to low, under a leading 1
         bits = bin(start >> t | 1 << (n - t))[3:]
         gates.append(Gate("MCX", qubits[t], tuple(map(_POLARITY_OF_BIT.__getitem__, bits))))
-    return gates
+    return tuple(gates)
 
 
 def build_sequency_selector(n: int, band) -> Circuit:
@@ -161,7 +175,7 @@ def build_sequency_selector(n: int, band) -> Circuit:
     merged = _normalize_intervals(band, 1 << check_bits(n))
     gates = _selector_gates(_dyadic_blocks(merged, n), n)
     spans = ",".join(f"[{lo}:{hi})" for lo, hi in merged)
-    return Circuit(n + 1, tuple(gates), f"selector(n={n}, band={spans})")
+    return Circuit(n + 1, gates, f"selector(n={n}, band={spans})")
 
 
 def build_filter_circuit(n: int, spec, *, swapped: bool = False) -> Circuit:
@@ -180,7 +194,8 @@ def build_filter_circuit(n: int, spec, *, swapped: bool = False) -> Circuit:
     builder takes both interval lists as given: integer, sorted, disjoint and
     not touching, within [0, 2**n).
     """
-    size = 1 << check_bits(n)
+    n = check_bits(n)
+    size = 1 << n
     spec.validate_for(size)
     pass_blocks = _dyadic_blocks(spec.pass_intervals(size), n)
     stop_blocks = _dyadic_blocks(spec.stop_intervals(size), n)
@@ -188,23 +203,18 @@ def build_filter_circuit(n: int, spec, *, swapped: bool = False) -> Circuit:
         # index 0 is a fixed point of the reordering, so the permutation
         # stages cancel and the cheap no-X form needs just one selector gate
         fire_pass = False
-        uz: list[Gate] = []
+        uz: tuple[Gate, ...] = ()
     else:
         uz = _uz_gates(n)
         if spec.kind == "band":
             fire_pass = len(pass_blocks) < len(stop_blocks)
         else:
             fire_pass = len(pass_blocks) <= len(stop_blocks)
-    x_front = fire_pass != bool(swapped)
-
-    h_layer = [h(q) for q in range(n)]
-    gates: list[Gate] = [x(n)] if x_front else []
-    gates += h_layer
-    gates += uz
-    gates += _selector_gates(pass_blocks if fire_pass else stop_blocks, n)
+    x_front = (x(n),) if fire_pass != bool(swapped) else ()
+    selector = _selector_gates(pass_blocks if fire_pass else stop_blocks, n)
+    h_layer = _h_layer(n)
     # every uz gate is its own inverse
-    gates += reversed(uz)
-    gates += h_layer
+    gates = x_front + h_layer + uz + selector + uz[::-1] + h_layer
 
     tag = ", swapped" if swapped else ""
     label = f"filter({spec.describe()}, n={n}{tag})"

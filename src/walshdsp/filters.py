@@ -186,9 +186,9 @@ def filter_classical_oracle(signal, spec: FilterSpec) -> tuple[Coefficients, Coe
     size = 1 << n
     spec.validate_for(size)
     # looked up on the module at call time, like the calls into the other
-    # layers, so that a tracer patching the module sees the map being built
-    sequency_of_row, _ = transforms.natural_to_sequency_perm(n)
-    keep = _pass_mask(spec, size)[sequency_of_row]
+    # layers, so that a tracer patching the module sees the map being built;
+    # only the forward map is read, and both go once keep is built
+    keep = _pass_mask(spec, size)[transforms.natural_to_sequency_perm(n)[0]]
     spectrum = fwht_natural(signal).values
     pass_branch = fwht_natural(np.where(keep, spectrum, 0.0)).values
     stop_branch = fwht_natural(np.where(keep, 0.0, spectrum)).values

@@ -32,8 +32,10 @@ where it must:
   of some fixed bits, as uz does for every selector gate, the gate is three
   exact copies between two strided views of the amplitudes, through the
   spare buffer; otherwise the map is materialised before the gate's run.
-  A run that reads the caller's input copies it once and writes its first
-  gate's two halves from the input into that copy;
+  The views' layout, all but the fixed bits the polarities pick, is cached
+  per map and qubit tuple, so a filter's selector gates of one block size
+  share it. A run that reads the caller's input copies it once and writes
+  its first gate's two halves from the input into that copy;
 * a state narrower than the circuit has its qubits above it in |0>, and
   they are kept as known bits: the amplitudes are those of the block the
   bits pick, an X on one flips its bit and moves nothing. The first other
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, compress, groupby
 from operator import attrgetter, index, or_, xor
 
@@ -287,7 +289,6 @@ class _PendingMap:
     def __init__(self, n_qubits: int):
         self.identity = [1 << b for b in range(n_qubits)]
         self.columns = list(self.identity)
-        self.qubits = frozenset(range(n_qubits))
 
     def compose(self, run: list[Gate]) -> None:
         """Compose a run of CNOT/SWAP gates on the right, in order."""
@@ -319,32 +320,48 @@ class _PendingMap:
         OR(columns[q], q free) exactly when U has one bit per free qubit, and
         while columns[t] = e_t the gate pairs storage i with i ^ e_t. Then it
         swaps the t = 0 and t = 1 halves of that sub-cube: the amplitudes
-        reshaped to shape, indexed by lo and by hi.
+        reshaped to shape, indexed by lo and by hi. Only the fixed bits
+        source(j0) depend on the polarities; the rest is _cube_layout's.
         """
         columns, t = self.columns, gate.qubits[-1]
-        if columns[t] != 1 << t:
+        if columns[t] != 1 << t or (layout := _cube_layout(tuple(columns), gate.qubits)) is None:
             return None
+        shape, runs, axis = layout
         closed = compress(gate.qubits, map(CLOSED.__eq__, gate.polarities))
         fixed = reduce(xor, map(columns.__getitem__, closed), 0)
-        free_qubits = self.qubits.difference(gate.qubits[:-1])
-        free = reduce(or_, map(columns.__getitem__, free_qubits))
-        if bin(free).count("1") != len(free_qubits):
-            return None
-        n = len(columns)
-        # one axis per run of free or fixed bits, high bits first, and one
-        # for bit t; edges marks the lowest bit of each
-        edges = (free ^ free << 1 | 1 | 3 << t) & ((1 << n) - 1)
-        shape, at, top = [], [], n
-        while top:
-            b = (edges & ((1 << top) - 1)).bit_length() - 1
-            shape.append(1 << (top - b))
-            at.append(slice(None) if free >> b & 1 else fixed >> b & ((1 << (top - b)) - 1))
-            top = b
-        axis = bin(edges >> t).count("1") - 1
+        at = [slice(None) if mask is None else fixed >> b & mask for b, mask in runs]
         at[axis] = 0
         lo = tuple(at) + (...,)
         at[axis] = 1
         return shape, lo, tuple(at) + (...,)
+
+
+@lru_cache(maxsize=256)
+def _cube_layout(columns: tuple, qubits: tuple):
+    """The part of _PendingMap.sub_cube that the polarities do not change.
+
+    For a map's columns and a gate's qubits (controls, then the target t):
+    None unless the free qubits' columns have one bit each; else the shape,
+    one (lowest bit, mask) per axis, mask None on a run of free bits, and
+    the axis of bit t. A filter circuit's selector gates share one qubit
+    tuple per block size and meet the same map, uz, so this is computed
+    once per size and block size.
+    """
+    n, t = len(columns), qubits[-1]
+    free_qubits = frozenset(range(n)).difference(qubits[:-1])
+    free = reduce(or_, map(columns.__getitem__, free_qubits))
+    if bin(free).count("1") != len(free_qubits):
+        return None
+    # one axis per run of free or fixed bits, high bits first, and one for
+    # bit t; edges marks the lowest bit of each
+    edges = (free ^ free << 1 | 1 | 3 << t) & ((1 << n) - 1)
+    shape, runs, top = [], [], n
+    while top:
+        b = (edges & ((1 << top) - 1)).bit_length() - 1
+        shape.append(1 << (top - b))
+        runs.append((b, None if free >> b & 1 else (1 << (top - b)) - 1))
+        top = b
+    return tuple(shape), tuple(runs), bin(edges >> t).count("1") - 1
 
 
 def run_circuit(state: Statevector, circuit) -> Statevector:
@@ -441,7 +458,8 @@ def amplitude_encode(signal) -> tuple[Statevector, float]:
         unit, (scaled,) = peak_units(signal.values)
     except ValueError as err:
         raise NormalizationError(f"cannot amplitude-encode {err}") from err
-    norm = float(np.linalg.norm(scaled))
+    # the 2-norm as np.linalg.norm takes it for a 1-D real array, without its dispatch
+    norm = math.sqrt(scaled.dot(scaled))
     if norm == 0.0:
         raise NormalizationError("cannot amplitude-encode an all-zero signal")
     scale = unit * norm

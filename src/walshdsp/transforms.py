@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -257,16 +257,43 @@ def _sequency_index(n: int, inverse: bool = False) -> np.ndarray:
     return gf2_index([(1 << (n - j)) - 1 for j in range(n)])
 
 
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    matrix.flags.writeable = False
+    return matrix
+
+
 # 2**g x 2**g Hadamard matrices of signs, entry (k, j) = (-1)**(k.j), g <= _BLOCK_QUBITS
-_HADAMARD_BLOCKS = tuple(reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * g, np.ones((1, 1)))
-                         for g in range(_BLOCK_QUBITS + 1))
+_HADAMARD_BLOCKS = tuple(
+    _read_only(reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * g, np.ones((1, 1))))
+    for g in range(_BLOCK_QUBITS + 1)
+)
+
+
+@lru_cache(maxsize=128)
+def _hadamard_plan(qubits: tuple, scale: float) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """_hadamard_layer's blocks as (lowest bit, width, sign matrix), scale folded into the last.
+
+    Cached per qubit tuple and scale, so every caller shares the matrices:
+    they are read-only.
+    """
+    qubits = sorted(qubits)
+    blocks = []
+    lo, g = qubits[0], 0
+    for q in qubits:
+        if q != lo + g or g == _BLOCK_QUBITS:
+            blocks.append((lo, g, _HADAMARD_BLOCKS[g]))
+            lo, g = q, 0
+        g += 1
+    matrix = _HADAMARD_BLOCKS[g]
+    blocks.append((lo, g, matrix if scale == 1.0 else _read_only(matrix * scale)))
+    return tuple(blocks)
 
 
 def _hadamard_layer(a: np.ndarray, spare: np.ndarray, qubits, scale: float = 1.0, back=None):
     """scale times the unnormalized H on distinct index bits; returns the result and a free buffer.
 
     The sorted bits are cut into blocks of at most _BLOCK_QUBITS consecutive
-    bits (Good's interaction algorithm). A block of g bits from bit lo
+    bits (Good's interaction algorithm), planned once per bit set and scale. A block of g bits from bit lo
     multiplies the middle axis of the (outer, 2**g, 2**lo) view by its sign
     matrix, scale folded into the last one (from the right on (rows, 2**g)
     when lo = 0), in BLAS products of at most _BLOCK_COLUMNS columns (rows);
@@ -275,20 +302,8 @@ def _hadamard_layer(a: np.ndarray, spare: np.ndarray, qubits, scale: float = 1.0
     the blocks write spare and back in turn, back being a itself unless
     another buffer is given, which leaves a unwritten. Real or complex a.
     """
-    qubits = sorted(qubits)
-    blocks = []  # (lowest bit, width)
-    lo, g = qubits[0], 0
-    for q in qubits:
-        if q != lo + g or g == _BLOCK_QUBITS:
-            blocks.append((lo, g))
-            lo, g = q, 0
-        g += 1
-    blocks.append((lo, g))
     back = a if back is None else back
-    for i, (lo, g) in enumerate(blocks, 1 - len(blocks)):
-        matrix = _HADAMARD_BLOCKS[g]
-        if i == 0 and scale != 1.0:  # the last block
-            matrix = matrix * scale
+    for lo, g, matrix in _hadamard_plan(tuple(qubits), scale):
         if a.size == 1 << g:
             # numpy gives a one-row product to gemv, which rounds its sums
             # otherwise than gemm: the row of a two-row product keeps a

@@ -342,6 +342,74 @@ def test_filter_rejects_bad_specs():
 
 
 # ---------------------------------------------------------------------------
+# each size's gates are built once and shared
+
+
+def _uz_by_hand(n):
+    return [sim.cnot(k - 1, k) for k in range(1, n)] + [sim.swap(j, n - 1 - j) for j in range(n // 2)]
+
+
+def _filter_by_hand(n, spec, swapped):
+    """The filter circuit gate by gate, the selector from build_sequency_selector."""
+    size = 1 << n
+    fire_on = {name: qc.build_sequency_selector(n, intervals).gates
+               for name, intervals in (("pass", spec.pass_intervals(size)), ("stop", spec.stop_intervals(size)))}
+    if spec.kind == "dc":
+        fire_pass, uz = False, []
+    else:
+        fewer = len(fire_on["pass"]) < len(fire_on["stop"])
+        tie = len(fire_on["pass"]) == len(fire_on["stop"]) and spec.kind != "band"
+        fire_pass, uz = fewer or tie, _uz_by_hand(n)
+    h_layer = [sim.h(q) for q in range(n)]
+    gates = [sim.x(n)] if fire_pass != swapped else []
+    gates += h_layer + uz + list(fire_on["pass" if fire_pass else "stop"]) + uz[::-1] + h_layer
+    return gates
+
+
+def _seeded_specs(n):
+    rng = np.random.default_rng(500 + n)
+    size = 1 << n
+    specs = [FilterSpec.dc(), FilterSpec.low_pass(size), FilterSpec.high_pass(1)]
+    for _ in range(3):
+        lo = int(rng.integers(0, size))
+        specs += [FilterSpec.low_pass(int(rng.integers(1, size + 1))),
+                  FilterSpec.high_pass(int(rng.integers(1, size + 1))),
+                  FilterSpec.band_pass(lo, int(rng.integers(lo + 1, size + 1)))]
+    return specs
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_shared_gates_give_the_circuits_built_gate_by_gate(n):
+    h_layer, uz = [sim.h(q) for q in range(n)], _uz_by_hand(n)
+    for built, gates in ((qc.build_uz(n), uz), (qc.build_uz_inverse(n), uz[::-1]),
+                         (qc.build_sequency_wht(n), h_layer + uz)):
+        assert qc.circuit_to_json(built) == qc.circuit_to_json(qc.Circuit(n, gates, built.label))
+    for spec in _seeded_specs(n):
+        for swapped in (False, True):
+            built = qc.build_filter_circuit(n, spec, swapped=swapped)
+            by_hand = qc.Circuit(n + 1, _filter_by_hand(n, spec, swapped), built.label)
+            assert qc.circuit_to_json(built) == qc.circuit_to_json(by_hand), (spec, swapped)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_builders_read_a_numpy_integer_size_as_int(n):
+    spec = FilterSpec.band_pass(0, 1)
+    for build in (qc.build_uz, qc.build_uz_inverse, qc.build_sequency_wht,
+                  lambda m: qc.build_filter_circuit(m, spec), lambda m: qc.build_filter_circuit(m, spec, swapped=True)):
+        assert qc.circuit_to_json(build(np.int64(n))) == qc.circuit_to_json(build(n))
+    assert qc.build_uz(np.int64(n)).gates is qc.build_uz(n).gates
+
+
+def test_builders_refuse_zero_qubits_on_every_call():
+    # a cache keeps no exception, and the size is checked before it is read
+    for build in (qc.build_uz, qc.build_uz_inverse, qc.build_sequency_wht,
+                  lambda m: qc.build_filter_circuit(m, FilterSpec.dc())):
+        for _ in range(2):
+            with pytest.raises(tr.SizingError):
+                build(0)
+
+
+# ---------------------------------------------------------------------------
 # gate stats and elision
 
 

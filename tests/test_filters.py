@@ -3,6 +3,8 @@ energy bookkeeping, and the spec/convention surface."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -280,6 +282,20 @@ def test_oracle_keeps_the_bits_of_three_sequency_transforms(n):
             assert got.order_tag == near.order_tag == tr.TIME
             assert np.array_equal(got.values, bits)
             assert np.linalg.norm(got.values - near.values) <= tol
+
+
+def test_oracle_peak_memory_stays_under_six_inputs():
+    # the index maps go once the mask is read through the forward one; the
+    # three transforms and their two masked inputs take about five inputs
+    signal = np.random.default_rng(16).standard_normal(1 << 16)
+    spec = flt.FilterSpec.low_pass(1 << 14)
+    tracemalloc.start()
+    try:
+        flt.filter_classical_oracle(signal, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * signal.nbytes
 
 
 @st.composite

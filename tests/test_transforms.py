@@ -507,6 +507,18 @@ def test_hadamard_block_bits_do_not_depend_on_the_array_size(n, complex_input):
         assert np.array_equal(alone, want)
 
 
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_hadamard_layer_takes_each_calls_scale_on_the_same_bits(n):
+    # the block plans are cached per qubit set and scale: a power-of-two
+    # scale moves no bit, so each call must give exactly scale times the
+    # unscaled result, whichever scale the same bits saw before
+    x = RNG.standard_normal(1 << n)
+    runs = [(scale, tr._hadamard_layer(x, np.empty_like(x), range(n), scale, np.empty_like(x))[0].copy())
+            for scale in (1.0, 0.25, 1.0, 8.0, 0.25)]
+    for scale, out in runs:
+        assert np.array_equal(out, runs[0][1] * scale)
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-5, 1.0, 3.0, 7e5, 1e300])
 @pytest.mark.parametrize("n", [1, 4, 9])
 def test_peak_units_keep_the_bits_of_ordinary_input(n, scale):
