@@ -146,19 +146,13 @@ def _dyadic_blocks(merged, n: int) -> list[tuple[int, int]]:
 
 
 def _selector_gates(blocks, n: int) -> tuple[Gate, ...]:
-    """One MCX on the ancilla per dyadic block, controlled by its high bits.
-
-    The blocks of one size share one qubit tuple: data qubits n-1 down to t,
-    then the ancilla.
-    """
+    """One MCX on the ancilla per dyadic block, controlled by its high bits:
+    data qubits n-1 down to t, then the ancilla."""
     gates = []
-    qubits: dict[int, tuple[int, ...]] = {}
     for start, t in blocks:
-        if t not in qubits:
-            qubits[t] = (*range(n - 1, t - 1, -1), n)
         # the n - t bits of m = start >> t, high to low, under a leading 1
         bits = bin(start >> t | 1 << (n - t))[3:]
-        gates.append(Gate("MCX", qubits[t], tuple(map(_POLARITY_OF_BIT.__getitem__, bits))))
+        gates.append(Gate("MCX", (*range(n - 1, t - 1, -1), n), tuple(map(_POLARITY_OF_BIT.__getitem__, bits))))
     return tuple(gates)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -127,9 +128,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--cutoff", type=_cutoff_type)
     p.add_argument("--band", type=_band_type, metavar="LO:HI")
-    p.add_argument("--dump", help="write the circuit as JSON to this path")
-    p.add_argument("--sweep", type=_span_type, metavar="LO:HI", help="tabulate stats for a range of n")
-    p.add_argument("--output", help="sweep CSV path (default stdout)")
+    p.add_argument("--dump", help="write the --n circuit as JSON to this path")
+    p.add_argument("--sweep", type=_span_type, metavar="LO:HI", help="tabulate stats for a range of n, instead of --n")
+    p.add_argument("--output", help="sweep CSV path (default stdout); only with --sweep")
     p.set_defaults(run=_cmd_gates)
     return parser
 
@@ -167,6 +168,12 @@ def _filter_spec(args: argparse.Namespace, size: int, parser: argparse.ArgumentP
     return filters.FilterSpec(args.kind, cutoff=args.cutoff.resolve(size))
 
 
+def _json_metrics(metrics: dict[str, float]) -> dict[str, float | None]:
+    # compare's l2_rel is inf where the reference is exactly zero and the
+    # other vector is not; JSON has no inf, so such a metric is null
+    return {name: value if math.isfinite(value) else None for name, value in metrics.items()}
+
+
 def _cmd_filter(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     signal = signals.load_csv(args.input)
     spec = _filter_spec(args, len(signal), parser)
@@ -196,19 +203,21 @@ def _cmd_filter(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         },
         "gate_stats": stats.as_dict(),
         "errors": {
-            "quantum_vs_oracle_pass": filters.compare(result.pass_branch, oracle_pass),
-            "quantum_vs_oracle_stop": filters.compare(result.stop_branch, oracle_stop),
-            "quantum_reconstruction": filters.compare(recon, signal),
-            "oracle_reconstruction": filters.compare(oracle_recon, signal),
+            "quantum_vs_oracle_pass": _json_metrics(filters.compare(result.pass_branch, oracle_pass)),
+            "quantum_vs_oracle_stop": _json_metrics(filters.compare(result.stop_branch, oracle_stop)),
+            "quantum_reconstruction": _json_metrics(filters.compare(recon, signal)),
+            "oracle_reconstruction": _json_metrics(filters.compare(oracle_recon, signal)),
         },
     }
+    # strict JSON, made before any file is written
+    meta_text = json.dumps(meta, indent=2, allow_nan=False) + "\n"
     pass_path = args.output_prefix + ".pass.csv"
     stop_path = args.output_prefix + ".stop.csv"
     meta_path = args.output_prefix + ".meta.json"
     signals.save_csv(pass_path, result.pass_branch.values)
     signals.save_csv(stop_path, result.stop_branch.values)
     with open(meta_path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(meta, indent=2) + "\n")
+        fh.write(meta_text)
     print(f"{spec.describe()}: p_pass={result.p_pass:.12g} p_stop={result.p_stop:.12g}")
     print(f"wrote {pass_path}, {stop_path}, {meta_path}")
     return 0
@@ -254,9 +263,9 @@ def _gates_build(args: argparse.Namespace, n: int, parser: argparse.ArgumentPars
 
 
 def _cmd_gates(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.sweep is None and args.n is None:
-        parser.error("gates requires --n (or --sweep LO:HI)")
     if args.sweep is not None:
+        if args.n is not None or args.dump is not None:
+            parser.error("gates --sweep takes no --n or --dump")
         lo, hi = args.sweep
         kinds = simulator.GATE_KINDS
         rows = [",".join(["n", "total", "depth", *(k.lower() for k in kinds), "arities"])]
@@ -274,6 +283,10 @@ def _cmd_gates(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             sys.stdout.write(text)
         return 0
 
+    if args.n is None:
+        parser.error("gates requires --n (or --sweep LO:HI)")
+    if args.output is not None:
+        parser.error("gates --output writes a --sweep table; --dump writes one circuit")
     circuit = _gates_build(args, args.n, parser)
     stats = circuits.gate_stats(circuit)
     print(f"label: {circuit.label}")

@@ -33,9 +33,9 @@ where it must:
   exact copies between two strided views of the amplitudes, through the
   spare buffer; otherwise the map is materialised before the gate's run.
   The views' layout, all but the fixed bits the polarities pick, is cached
-  per map and qubit tuple, so a filter's selector gates of one block size
-  share it. A run that reads the caller's input copies it once and writes
-  its first gate's two halves from the input into that copy;
+  per map and qubit tuple, so a filter's selector gates of one block size,
+  whose qubit tuples are equal, share it. An X or MCX run that would read
+  the caller's input first copies it and swaps in the copy;
 * a state narrower than the circuit has its qubits above it in |0>, and
   they are kept as known bits: the amplitudes are those of the block the
   bits pick, an X on one flips its bit and moves nothing. The first other
@@ -82,7 +82,7 @@ class NormalizationError(ValueError):
     """Raised when a signal cannot be scaled to a unit-norm state."""
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One gate: a kind, the qubits it touches, and control polarities.
 
@@ -96,7 +96,8 @@ class Gate:
     qubits: tuple[int, ...]
     polarities: tuple[str, ...] = ()
 
-    def __init__(self, kind: str, qubits: tuple[int, ...], polarities: tuple[str, ...] = ()):
+    def __post_init__(self):
+        kind, qubits, polarities = self.kind, self.qubits, self.polarities
         # one pass of cheap checks; the messages are only built on failure
         if kind == "MCX":
             if not qubits:
@@ -121,9 +122,6 @@ class Gate:
             raise ValueError(f"negative qubit index in {qubits}")
         if len(qubits) > 1 and len(set(qubits)) != len(qubits):
             raise ValueError(f"repeated qubit index in {qubits}")
-        _set_kind(self, kind)
-        _set_qubits(self, qubits)
-        _set_polarities(self, polarities)
 
     @property
     def target(self) -> int:
@@ -138,11 +136,6 @@ class Gate:
         if self.kind == "MCX":
             return tuple(zip(self.qubits[:-1], self.polarities))
         raise AttributeError(f"{self.kind} has no controls")
-
-
-# the slots' own setters write a frozen Gate's fields, as object.__setattr__
-# would, at less cost per call
-_set_kind, _set_qubits, _set_polarities = (Gate.kind.__set__, Gate.qubits.__set__, Gate.polarities.__set__)
 
 
 def h(qubit: int) -> Gate:
@@ -343,9 +336,10 @@ def _cube_layout(columns: tuple, qubits: tuple):
     For a map's columns and a gate's qubits (controls, then the target t):
     None unless the free qubits' columns have one bit each; else the shape,
     one (lowest bit, mask) per axis, mask None on a run of free bits, and
-    the axis of bit t. A filter circuit's selector gates share one qubit
-    tuple per block size and meet the same map, uz, so this is computed
-    once per size and block size.
+    the axis of bit t. The cache compares its keys by value, so equal qubit
+    tuples share an entry: a filter circuit's selector gates of one block
+    size have equal qubit tuples and meet the same map, uz, so this is
+    computed once per size and block size.
     """
     n, t = len(columns), qubits[-1]
     free_qubits = frozenset(range(n)).difference(qubits[:-1])
@@ -370,9 +364,9 @@ def run_circuit(state: Statevector, circuit) -> Statevector:
     The state may be narrower than the circuit, never wider: the qubits
     above it start in |0> and stay known bits until a layer other than X
     touches one. The input amplitudes are read, never written: the first
-    layer that moves them, or the widening, writes a buffer of its own, and
-    they are copied only where an X or MCX run or the end of the circuit
-    comes first.
+    layer that moves them, or the widening, writes a buffer of its own. An
+    X or MCX run that comes first copies them whole and swaps in the copy,
+    and a circuit that moves nothing returns a copy.
     """
     n, width = circuit.n_qubits, state.n_qubits
     if width > n:
@@ -411,15 +405,7 @@ def run_circuit(state: Statevector, circuit) -> Statevector:
             amps, spare = _hadamard_layer(amps, spare, run, 2 ** (-len(run) / 2), back)
             continue
         if amps is source:
-            # the first swap writes its two halves from the input into a
-            # copy; with no controls the halves are the whole state
-            (shape, lo, hi), *cubes = cubes
-            if len(run[0].qubits) > 1:
-                np.copyto(spare, amps)
-            states, copy = amps.reshape(shape), spare.reshape(shape)
-            np.copyto(copy[lo], states[hi])
-            np.copyto(copy[hi], states[lo])
-            amps, spare = spare, np.empty_like(amps)
+            amps = amps.copy()
         for shape, lo, hi in cubes:
             states, buffer = amps.reshape(shape), spare.reshape(shape)
             np.copyto(buffer[lo], states[lo])

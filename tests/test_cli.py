@@ -19,6 +19,11 @@ def _read_values(path):
     return signals.load_csv(str(path)).values
 
 
+def _read_meta(path):
+    """A filter meta.json parsed strictly: NaN or Infinity fails the test."""
+    return json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"{path.name} holds {c}"))
+
+
 @pytest.fixture
 def square_csv(tmp_path):
     sig = signals.discretize(signals.Waveform("square", cycles=2.0), 5)
@@ -97,7 +102,7 @@ def test_filter_outputs_and_meta(tmp_path, square_csv):
     passed = _read_values(tmp_path / "flt.pass.csv")
     stopped = _read_values(tmp_path / "flt.stop.csv")
     np.testing.assert_allclose(passed + stopped, values, atol=1e-10)
-    meta = json.loads((tmp_path / "flt.meta.json").read_text())
+    meta = _read_meta(tmp_path / "flt.meta.json")
     assert meta["kind"] == "low"
     assert meta["cutoff"] == 8
     assert meta["band"] is None
@@ -137,7 +142,7 @@ def test_filter_swapped_flag_recorded(tmp_path, square_csv):
     prefix = tmp_path / "sw"
     assert main(["filter", "--kind", "high", "--cutoff", "16", "--swapped",
                  "--input", str(src), "--output-prefix", str(prefix)]) == 0
-    meta = json.loads((tmp_path / "sw.meta.json").read_text())
+    meta = _read_meta(tmp_path / "sw.meta.json")
     assert meta["convention"]["swapped"] is True
     assert meta["convention"]["pass_ancilla_outcome"] == 1
     passed = _read_values(tmp_path / "sw.pass.csv")
@@ -150,9 +155,25 @@ def test_filter_band_meta(tmp_path, square_csv):
     prefix = tmp_path / "bd"
     assert main(["filter", "--kind", "band", "--band", "N/4:3N/4",
                  "--input", str(src), "--output-prefix", str(prefix)]) == 0
-    meta = json.loads((tmp_path / "bd.meta.json").read_text())
+    meta = _read_meta(tmp_path / "bd.meta.json")
     assert meta["cutoff"] is None
     assert meta["band"] == [8, 24]
+
+
+def test_filter_meta_writes_a_non_finite_metric_as_null(tmp_path):
+    # the oracle's stop branch is exactly zero (only sequencies 0 and 3 are
+    # present, both below the cutoff) while the simulated one keeps rounding
+    # residue, so compare's l2_rel is inf, which JSON cannot hold; a BLAS
+    # that left no residue would give 0
+    sequency = np.zeros(8)
+    sequency[[0, 3]] = np.random.default_rng(0).standard_normal(2)
+    src = tmp_path / "sig.csv"
+    _write_signal(src, transforms.wht_sequency(sequency).values)
+    assert main(["filter", "--kind", "low", "--cutoff", "6", "--input", str(src),
+                 "--output-prefix", str(tmp_path / "o")]) == 0
+    stop = _read_meta(tmp_path / "o.meta.json")["errors"]["quantum_vs_oracle_stop"]
+    assert stop["l2_abs"] <= 1e-15
+    assert stop["l2_rel"] == (None if stop["l2_abs"] > 0 else 0.0)
 
 
 # --- spectrum ---
@@ -241,6 +262,21 @@ def test_gates_sweep_csv(tmp_path):
     assert row["cnot"] == "3"
     assert row["swap"] == "2"
     assert row["total"] == "5"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "4", "--output", "sweep.csv"],
+    ["--sweep", "2:4", "--n", "4"],
+    ["--sweep", "2:4", "--dump", "c.json"],
+    ["--sweep", "2:4", "--n", "4", "--output", "sweep.csv"],
+], ids=["output-without-sweep", "sweep-with-n", "sweep-with-dump", "sweep-with-n-and-output"])
+def test_gates_options_that_would_be_ignored_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["gates", "--kind", "uz", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- exit codes and argument parsing ---
@@ -346,7 +382,7 @@ def test_filter_huge_samples_keep_their_scale(tmp_path):
     src = tmp_path / "huge.csv"
     _write_signal(src, np.full(16, 1e200))
     assert main(["filter", "--kind", "dc", "--input", str(src), "--output-prefix", str(tmp_path / "o")]) == 0
-    meta = json.loads((tmp_path / "o.meta.json").read_text(), parse_constant=pytest.fail)
+    meta = _read_meta(tmp_path / "o.meta.json")
     assert meta["scale"] == pytest.approx(4e200)
     assert meta["errors"]["quantum_vs_oracle_stop"]["l2_rel"] < 1e-12
     np.testing.assert_allclose(_read_values(tmp_path / "o.stop.csv"), np.full(16, 1e200), rtol=1e-12)
