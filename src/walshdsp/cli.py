@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="transform back; both orderings are self-inverse, so this computes the same product")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(run=_cmd_transform)
+    p.set_defaults(run=_cmd_transform, parser=p)
 
     p = sub.add_parser("filter", help="run the ancilla filter circuit on a CSV signal")
     p.add_argument("--kind", choices=filters.KINDS, required=True)
@@ -107,21 +107,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--swapped", action="store_true", help="pass branch on ancilla outcome 1")
     p.add_argument("--input", required=True)
     p.add_argument("--output-prefix", required=True)
-    p.set_defaults(run=_cmd_filter)
+    p.set_defaults(run=_cmd_filter, parser=p)
 
     p = sub.add_parser("spectrum", help="write sequency and/or frequency magnitudes")
     p.add_argument("--which", choices=(*_SPECTRA, "both"), default="sequency")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(run=_cmd_spectrum)
+    p.set_defaults(run=_cmd_spectrum, parser=p)
 
     p = sub.add_parser("sequency-map", help="print s,g pairs of the natural-to-sequency map")
     p.add_argument("--n", type=int, required=True, help=f"bit width, at most {_MAP_MAX_BITS}")
-    p.set_defaults(run=_cmd_sequency_map)
+    p.set_defaults(run=_cmd_sequency_map, parser=p)
 
     p = sub.add_parser("verify", help="run the self-check suites")
     p.add_argument("--n-max", type=int, default=8)
-    p.set_defaults(run=_cmd_verify)
+    p.set_defaults(run=_cmd_verify, parser=p)
 
     p = sub.add_parser("gates", help="build a circuit and report its gate inventory")
     p.add_argument("--kind", choices=(*_PLAIN_CIRCUITS, *filters.KINDS), required=True)
@@ -131,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", help="write the --n circuit as JSON to this path")
     p.add_argument("--sweep", type=_span_type, metavar="LO:HI", help="tabulate stats for a range of n, instead of --n")
     p.add_argument("--output", help="sweep CSV path (default stdout); only with --sweep")
-    p.set_defaults(run=_cmd_gates)
+    p.set_defaults(run=_cmd_gates, parser=p)
     return parser
 
 
@@ -308,7 +308,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args, parser)
+        # each handler reports usage errors through its own subparser
+        return args.run(args, args.parser)
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -62,7 +62,7 @@ from operator import attrgetter, index, or_, xor
 
 import numpy as np
 
-from walshdsp.transforms import _hadamard_layer, check_index, check_int, gf2_index, peak_units, time_signal
+from walshdsp.transforms import _empty, _hadamard_layer, check_index, check_int, gf2_index, peak_units, time_signal
 
 OPEN = "open"
 CLOSED = "closed"
@@ -373,7 +373,7 @@ def run_circuit(state: Statevector, circuit) -> Statevector:
         raise ValueError(f"circuit on {n} qubits, state on {width}")
     known = 0  # the values of the known bits, qubit width + b at bit b
     source = amps = state.amplitudes
-    spare = np.empty_like(amps)
+    spare = _empty(amps)
     pending = _PendingMap(width)
     for kind, run in _runs(circuit.gates):
         if width < n:
@@ -387,7 +387,7 @@ def run_circuit(state: Statevector, circuit) -> Statevector:
                 pending.columns[:width] = columns
                 # the narrow spare is freed before the wide one is taken
                 amps, spare, width = _widen(amps, known, width, n), None, n
-                spare = np.empty_like(amps)
+                spare = _empty(amps)
         if kind in _PERMUTATION_KINDS:
             pending.compose(run)
             continue
@@ -398,10 +398,10 @@ def run_circuit(state: Statevector, circuit) -> Statevector:
             amps, spare = pending.flush(amps, spare)
             cubes = [pending.sub_cube(gate) for gate in run]
         if spare is source:
-            spare = np.empty_like(amps)
+            spare = _empty(amps)
         if kind == "H":
             # a layer reading the input writes two buffers of its own in turn
-            back = np.empty_like(amps) if amps is source else None
+            back = _empty(amps) if amps is source else None
             amps, spare = _hadamard_layer(amps, spare, run, 2 ** (-len(run) / 2), back)
             continue
         if amps is source:
@@ -420,7 +420,7 @@ def run_circuit(state: Statevector, circuit) -> Statevector:
 def _widen(amps: np.ndarray, known: int, width: int, n: int) -> np.ndarray:
     """amps on width qubits as a fresh state on n, the qubits above reading known."""
     # each entry written once: a zeroed buffer would be written twice where amps go
-    blocks = np.empty((1 << (n - width), amps.size), amps.dtype)
+    blocks = _empty(amps, amps.size << (n - width)).reshape(-1, amps.size)
     blocks[:known] = 0
     blocks[known] = amps
     blocks[known + 1 :] = 0

@@ -275,7 +275,10 @@ def test_gates_options_that_would_be_ignored_are_usage_errors(tmp_path, monkeypa
     with pytest.raises(SystemExit) as exc:
         main(["gates", "--kind", "uz", *argv])
     assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the usage line names the subcommand whose options were wrong
+    assert captured.err.startswith("usage: walshdsp gates ")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -435,12 +438,14 @@ def test_malformed_cutoff_is_usage_error(tmp_path, square_csv):
     assert exc.value.code == 2
 
 
-def test_kind_parameter_mismatch_is_usage_error(tmp_path, square_csv):
+def test_kind_parameter_mismatch_is_usage_error(tmp_path, square_csv, capsys):
     src, _ = square_csv
     with pytest.raises(SystemExit) as exc:
         main(["filter", "--kind", "dc", "--cutoff", "4", "--input", str(src),
               "--output-prefix", str(tmp_path / "x")])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: walshdsp filter ")
+    assert [p.name for p in tmp_path.iterdir()] == ["sig.csv"]
 
 
 def test_missing_subcommand_is_usage_error():

@@ -498,13 +498,16 @@ INPUT_LAYER_CIRCUITS = {
 }
 
 
-@pytest.mark.parametrize("make_state", [random_real_state, random_state])
+@pytest.mark.parametrize("make_state,width", [
+    (random_real_state, 3), (random_state, 3), (random_real_state, 14), (random_state, 14),
+], ids=["random_real_state", "random_state", "random_real_state-14", "random_state-14"])
 @pytest.mark.parametrize("name", INPUT_LAYER_CIRCUITS)
-def test_run_circuit_never_writes_or_returns_its_input(make_state, name):
+def test_run_circuit_never_writes_or_returns_its_input(make_state, name, width):
     # the first layer reads the input directly, so nothing may write it, and
-    # the result must not share its memory even when no gate moves anything
-    circuit = INPUT_LAYER_CIRCUITS[name]
-    state = make_state(3)
+    # the result must not share its memory even when no gate moves anything;
+    # at 14 qubits the buffers run_circuit takes start on a page
+    circuit = Circuit(width, INPUT_LAYER_CIRCUITS[name].gates)
+    state = make_state(width)
     before = state.amplitudes.copy()
     out = sim.run_circuit(state, circuit)
     assert np.array_equal(state.amplitudes, before)

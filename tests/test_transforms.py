@@ -10,6 +10,8 @@ one-qubit H gates), which are pinned here in turn.
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -454,10 +456,10 @@ def unscaled_kernel(values):
 
 
 @st.composite
-def kernel_cases(draw):
-    """n <= 12, real or complex input, all n bits or any non-empty subset
+def kernel_cases(draw, max_bits=12):
+    """n <= max_bits, real or complex input, all n bits or any non-empty subset
     (gaps included), and scale 1 or the unitary 2**(-k/2) for k bits."""
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, max_bits))
     if draw(st.booleans()):
         qubits = list(range(n))
     else:
@@ -488,6 +490,51 @@ def test_hadamard_kernel_matches_its_oracles(case):
         wants.append(tr.sequency_matrix(n)[rows] @ x * (scale * np.sqrt(1 << n)))
     for want in wants:
         assert np.max(np.abs(got - want)) <= 4 * n * EPS * np.max(np.abs(want))
+
+
+def at_page_offset(x, offset):
+    """A copy of x whose data starts offset bytes past a page boundary."""
+    raw = np.empty(x.nbytes + 2 * mmap.PAGESIZE, np.uint8)
+    start = -raw.ctypes.data % mmap.PAGESIZE + offset
+    out = raw[start : start + x.nbytes].view(x.dtype)
+    out[:] = x
+    return out
+
+
+PAGE_OFFSETS = (0, 8, 16, 64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_cases(max_bits=16), st.tuples(*[st.sampled_from(PAGE_OFFSETS)] * 3))
+def test_hadamard_layer_bits_do_not_depend_on_the_page_offset(case, mixed):
+    # _empty starts large buffers on a page where glibc starts them 16 bytes
+    # in; the products must round alike wherever a, spare and back start
+    n, qubits, scale, complex_input, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(1 << n)
+    if complex_input:
+        x = x + 1j * rng.standard_normal(1 << n)
+    garbage = np.full_like(x, np.nan)
+    want, _ = tr._hadamard_layer(x.copy(), np.empty_like(x), qubits, scale, np.empty_like(x))
+    for offsets in (*((offset,) * 3 for offset in PAGE_OFFSETS), mixed):
+        a, spare, back = (at_page_offset(v, offset) for v, offset in zip((x, garbage, garbage), offsets))
+        got, _ = tr._hadamard_layer(a, spare, qubits, scale, back)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(a, x)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("nbytes", [16, tr._ALIGN_FLOOR - 16, tr._ALIGN_FLOOR, tr._ALIGN_FLOOR + 16, 1 << 24])
+def test_empty_starts_large_buffers_on_a_page(dtype, nbytes):
+    size = nbytes // np.dtype(dtype).itemsize
+    for out in (tr._empty(np.zeros(3, dtype), size), tr._empty(np.zeros(size, dtype))):
+        assert out.dtype == dtype and out.shape == (size,)
+        assert out.flags.c_contiguous and out.flags.writeable
+        out[:] = 1.0
+        if nbytes >= tr._ALIGN_FLOOR:
+            assert out.ctypes.data % mmap.PAGESIZE == 0
+        else:
+            assert out.flags.owndata  # a plain np.empty
 
 
 @pytest.mark.parametrize("complex_input", [False, True])
@@ -674,7 +721,7 @@ def test_folded_sum_keeps_the_bits_of_the_guarded_sum(x):
 
 
 @pytest.mark.parametrize("peak", [1e-300, 3.0, 1e200, 1e307], ids=["below-guard", "ordinary", "huge", "above-guard"])
-@pytest.mark.parametrize("n", [1, 4, 5, 10])
+@pytest.mark.parametrize("n", [1, 4, 5, 10, 14, 17])
 def test_no_route_writes_or_returns_the_callers_samples(n, peak):
     x = at_peak(n, peak)
     before = x.copy()
