@@ -293,7 +293,10 @@ def circuit_from_dict(data: dict) -> Circuit:
     records = _records(_field(data, "gates", "circuit description"), "gates")
     gates = tuple(_gate_from_record(rec) for rec in records)
     n_qubits = check_int(_field(data, "n_qubits", "circuit description"), "n_qubits")
-    return Circuit(n_qubits, gates, str(data.get("label", "")))
+    label = data.get("label", "")
+    if not isinstance(label, str):
+        raise ValueError(f"label must be a string, got {label!r}")
+    return Circuit(n_qubits, gates, label)
 
 
 def circuit_to_json(circuit: Circuit) -> str:

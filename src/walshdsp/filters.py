@@ -25,10 +25,10 @@ from walshdsp import circuits, simulator, transforms
 from walshdsp.transforms import (
     Coefficients,
     TIME,
+    _as_coefficients,
     check_int,
     fwht_natural,
     peak_units,
-    time_series,
     time_signal,
 )
 
@@ -111,15 +111,10 @@ class FilterSpec:
 
     def stop_intervals(self, size: int) -> tuple[tuple[int, int], ...]:
         """Complement of the pass set within [0, size)."""
-        out = []
-        cursor = 0
-        for lo, hi in self.pass_intervals(size):
-            if cursor < lo:
-                out.append((cursor, lo))
-            cursor = hi
-        if cursor < size:
-            out.append((cursor, size))
-        return tuple(out)
+        # the pass set is at most one interval
+        lo, hi = (self.pass_intervals(size) or ((size, size),))[0]
+        head = ((0, lo),) if lo else ()
+        return (head + ((hi, size),)) if hi < size else head
 
     def describe(self) -> str:
         if self.kind in ("low", "high"):
@@ -197,11 +192,10 @@ def filter_classical_oracle(signal, spec: FilterSpec) -> tuple[Coefficients, Coe
 
 def dc_remove_oracle(signal) -> Coefficients:
     """Mean subtraction; the classical answer DC filtering must reproduce."""
-    if not isinstance(signal, Coefficients):
-        signal = time_series(signal)
-    if signal.order_tag != TIME:
-        raise ValueError(f"need a time-ordered signal, got {signal.order_tag!r}")
-    return Coefficients(signal.values - signal.values.mean(), TIME)
+    signal, _ = time_signal(signal)
+    # in peak units, so that huge samples do not overflow the mean
+    unit, (scaled,) = peak_units(signal.values)
+    return Coefficients((scaled - scaled.mean()) * unit, TIME)
 
 
 def compare(a, b) -> dict[str, float]:
@@ -212,8 +206,7 @@ def compare(a, b) -> dict[str, float]:
     Raw arrays are read as time_series reads them. ValueError on a nan or inf
     entry, a complex array or one that is not 1-D.
     """
-    av = a.values if isinstance(a, Coefficients) else time_series(a).values
-    bv = b.values if isinstance(b, Coefficients) else time_series(b).values
+    av, bv = _as_coefficients(a).values, _as_coefficients(b).values
     if av.size != bv.size:
         raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
     # measured in peak units, so that the norms of huge or tiny signals

@@ -47,9 +47,11 @@ where it must:
 
 The layers come from the gate list alone. apply_gate keeps the per-gate
 index-array kernel as the slow reference the compiled path is tested
-against; it pads a state narrower than its gate with |0> qubits
-explicitly. The H kernel is shared with the classical transforms, so the
-tests and verify check it against this gate fold and the sequency matrix.
+against: an H is a reshape, a SWAP or an X, CNOT or MCX (flip the target
+where every control holds) one gather; it pads a narrower state with |0>
+qubits explicitly. The H kernel is shared with the classical transforms,
+so the tests and verify check it against this gate fold and the sequency
+matrix.
 """
 
 from __future__ import annotations
@@ -125,7 +127,8 @@ class Gate:
 
     @property
     def target(self) -> int:
-        if self.kind in ("CNOT", "MCX"):
+        # an X is an MCX with no controls
+        if self.kind in ("X", "CNOT", "MCX"):
             return self.qubits[-1]
         raise AttributeError(f"{self.kind} has no target")
 
@@ -133,7 +136,7 @@ class Gate:
     def controls(self) -> tuple[tuple[int, str], ...]:
         if self.kind == "CNOT":
             return ((self.qubits[0], CLOSED),)
-        if self.kind == "MCX":
+        if self.kind in ("X", "MCX"):
             return tuple(zip(self.qubits[:-1], self.polarities))
         raise AttributeError(f"{self.kind} has no controls")
 
@@ -222,19 +225,16 @@ def _apply_inplace(amps: np.ndarray, gate: Gate) -> None:
         view[:, 1, :] = (top - bottom) * _RSQRT2
         return
     idx = np.arange(amps.size)
-    if gate.kind == "X":
-        source = idx ^ (1 << gate.qubits[0])
-    elif gate.kind == "SWAP":
+    if gate.kind == "SWAP":
         a, b = gate.qubits
-        differ = ((idx >> a) & 1) != ((idx >> b) & 1)
-        source = np.where(differ, idx ^ ((1 << a) | (1 << b)), idx)
-    else:  # CNOT or MCX: flip target where the control predicate holds
+        fire = (((idx >> a) ^ (idx >> b)) & 1) == 1
+        flip = (1 << a) | (1 << b)
+    else:  # X, CNOT or MCX: flip the target where every control holds
         fire = np.ones(amps.size, dtype=bool)
         for q, polarity in gate.controls:
-            bit = (idx >> q) & 1
-            fire &= (bit == 1) if polarity == CLOSED else (bit == 0)
-        source = np.where(fire, idx ^ (1 << gate.target), idx)
-    amps[:] = amps[source]
+            fire &= ((idx >> q) & 1) == (polarity == CLOSED)
+        flip = 1 << gate.target
+    amps[:] = amps[np.where(fire, idx ^ flip, idx)]
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:

@@ -449,6 +449,10 @@ def test_circuit_json_round_trip():
     assert back.n_qubits == circuit.n_qubits
     assert back.label == circuit.label
     assert back.gates == circuit.gates
+    # a description without a label loads with the empty one
+    data = json.loads(text)
+    del data["label"]
+    assert qc.circuit_from_dict(data).label == ""
 
 
 def test_circuit_json_writes_numpy_integer_indices_as_int():
@@ -633,10 +637,13 @@ _NO_GATES = {"format": "walshdsp-circuit", "version": 1, "label": "", "n_qubits"
         (_one_gate_dict({"kind": "MCX", "controls": [{"qubit": 0}], "target": 2}),
          "MCX control has no 'polarity' field"),
         ([], "not a walshdsp circuit description"),
+        ({**_one_gate_dict({"kind": "H", "qubit": 1}), "label": None}, "label must be a string, got None"),
+        ({**_one_gate_dict({"kind": "H", "qubit": 1}), "label": 5}, "label must be a string, got 5"),
     ],
     ids=["no-gates", "gates-not-a-list", "no-n_qubits", "no-kind", "h-no-qubit", "cnot-no-target",
          "record-not-an-object", "kind-not-a-string", "mcx-control-not-an-object",
-         "mcx-controls-not-a-list", "mcx-control-no-polarity", "not-an-object"],
+         "mcx-controls-not-a-list", "mcx-control-no-polarity", "not-an-object",
+         "label-null", "label-not-a-string"],
 )
 def test_circuit_from_dict_names_what_is_missing_or_malformed(data, message):
     with pytest.raises(ValueError) as err:

@@ -252,9 +252,13 @@ def test_gates_dump_round_trips(tmp_path, capsys):
     assert f"depth {stats.depth}" in out
 
 
-def test_gates_sweep_csv(tmp_path):
+def test_gates_sweep_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["gates", "--kind", "uz", "--sweep", "2:6", "--output", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    # without --output the same table goes to stdout
+    assert main(["gates", "--kind", "uz", "--sweep", "2:6"]) == 0
+    assert capsys.readouterr().out == out.read_text()
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,total,depth,h,x,cnot,swap,mcx,arities"
     assert len(lines) == 6
@@ -264,13 +268,17 @@ def test_gates_sweep_csv(tmp_path):
     assert row["total"] == "5"
 
 
-@pytest.mark.parametrize("argv", [
-    ["--n", "4", "--output", "sweep.csv"],
-    ["--sweep", "2:4", "--n", "4"],
-    ["--sweep", "2:4", "--dump", "c.json"],
-    ["--sweep", "2:4", "--n", "4", "--output", "sweep.csv"],
-], ids=["output-without-sweep", "sweep-with-n", "sweep-with-dump", "sweep-with-n-and-output"])
-def test_gates_options_that_would_be_ignored_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+@pytest.mark.parametrize("argv,message", [
+    (["--n", "4", "--output", "sweep.csv"], "gates --output writes a --sweep table; --dump writes one circuit"),
+    (["--sweep", "2:4", "--n", "4"], "gates --sweep takes no --n or --dump"),
+    (["--sweep", "2:4", "--dump", "c.json"], "gates --sweep takes no --n or --dump"),
+    (["--sweep", "2:4", "--n", "4", "--output", "sweep.csv"], "gates --sweep takes no --n or --dump"),
+    ([], "gates requires --n (or --sweep LO:HI)"),
+    (["--sweep", "4"], "argument --sweep: expected LO:HI integers, got '4'"),
+    (["--sweep", "5:3"], "argument --sweep: empty sweep '5:3'"),
+], ids=["output-without-sweep", "sweep-with-n", "sweep-with-dump", "sweep-with-n-and-output", "no-n-or-sweep",
+        "sweep-not-a-span", "sweep-empty"])
+def test_gates_options_that_would_be_ignored_are_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(["gates", "--kind", "uz", *argv])
@@ -279,6 +287,7 @@ def test_gates_options_that_would_be_ignored_are_usage_errors(tmp_path, monkeypa
     assert captured.out == ""
     # the usage line names the subcommand whose options were wrong
     assert captured.err.startswith("usage: walshdsp gates ")
+    assert captured.err.endswith(f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -430,22 +439,34 @@ def test_unresolvable_cutoff_exits_3(tmp_path, square_csv, capsys):
     assert "not an integer" in capsys.readouterr().err
 
 
-def test_malformed_cutoff_is_usage_error(tmp_path, square_csv):
+def test_malformed_cutoff_is_usage_error(tmp_path, square_csv, capsys):
     src, _ = square_csv
-    with pytest.raises(SystemExit) as exc:
-        main(["filter", "--kind", "low", "--cutoff", "half", "--input", str(src),
-              "--output-prefix", str(tmp_path / "x")])
-    assert exc.value.code == 2
+    for kind, option, text, message in [
+        ("low", "--cutoff", "half", "expected an integer, N, N/d, or aN/d: 'half'"),
+        ("low", "--cutoff", "N/0", "zero denominator in 'N/0'"),
+        ("band", "--band", "4", "expected LO:HI, got '4'"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(["filter", "--kind", kind, option, text, "--input", str(src),
+                  "--output-prefix", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument {option}: {message}\n")
 
 
 def test_kind_parameter_mismatch_is_usage_error(tmp_path, square_csv, capsys):
     src, _ = square_csv
-    with pytest.raises(SystemExit) as exc:
-        main(["filter", "--kind", "dc", "--cutoff", "4", "--input", str(src),
-              "--output-prefix", str(tmp_path / "x")])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.startswith("usage: walshdsp filter ")
-    assert [p.name for p in tmp_path.iterdir()] == ["sig.csv"]
+    for argv, message in [
+        (["--kind", "dc", "--cutoff", "4"], "dc takes no --cutoff or --band"),
+        (["--kind", "band", "--cutoff", "4"], "band requires --band LO:HI and no --cutoff"),
+        (["--kind", "low", "--band", "1:2"], "low requires --cutoff and no --band"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(["filter", *argv, "--input", str(src), "--output-prefix", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: walshdsp filter ")
+        assert err.endswith(f"error: {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["sig.csv"]
 
 
 def test_missing_subcommand_is_usage_error():

@@ -77,6 +77,19 @@ def test_dc_remove_oracle():
     w = RNG.standard_normal(128)
     via_highpass = flt.filter_classical_oracle(w, flt.FilterSpec.high_pass(1))[0]
     assert_allclose(flt.dc_remove_oracle(w).values, via_highpass.values, atol=1e-13)
+    # samples are read as every filter reads them: a non-finite one is an
+    # error, not a nan or inf mean
+    for bad in ([np.nan, 1.0], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="non-finite samples"):
+            flt.dc_remove_oracle(bad)
+    # the mean is taken in peak units, so huge samples do not overflow it
+    assert flt.dc_remove_oracle([1e308, 1e308]).values.tolist() == [0.0, 0.0]
+    # 2**n samples, n >= 1, as the dc filter this oracle checks reads them
+    for size in (0, 1, 3):
+        with pytest.raises(tr.SizingError):
+            flt.dc_remove_oracle(np.ones(size))
+    with pytest.raises(ValueError, match="need a time-ordered signal, got 'sequency'"):
+        flt.dc_remove_oracle(tr.Coefficients([1.0, 2.0], tr.SEQUENCY))
 
 
 def test_dc_oracle_stop_branch_is_mean():
@@ -358,6 +371,10 @@ def test_filterspec_validation():
     for band in [(1, 3, 99), (1,), (), 5]:
         with pytest.raises(ValueError, match="band takes exactly two edges"):
             flt.FilterSpec("band", band=band)
+    with pytest.raises(ValueError, match=r"^band takes band edges and no cutoff$"):
+        flt.FilterSpec("band", cutoff=3)
+    with pytest.raises(ValueError, match=r"^band \[2, 9\) not within \[0, 8\]$"):
+        flt.FilterSpec.band_pass(2, 9).validate_for(8)
 
 
 @pytest.mark.parametrize("value", [4, 4.0, np.int64(4), np.float64(4.0)],
@@ -398,6 +415,20 @@ def test_filterspec_intervals():
     assert flt.FilterSpec.dc().pass_intervals(8) == ((1, 8),)
     assert flt.FilterSpec.high_pass(8).pass_intervals(8) == ()
     assert flt.FilterSpec.high_pass(8).stop_intervals(8) == ((0, 8),)
+    # for every spec, the two lists are sorted, disjoint, not touching and
+    # together cover [0, size) exactly
+    for n in range(1, 9):
+        size = 1 << n
+        specs = [flt.FilterSpec.dc()]
+        specs += [make(c) for c in range(1, size + 1) for make in (flt.FilterSpec.low_pass, flt.FilterSpec.high_pass)]
+        specs += [flt.FilterSpec.band_pass(lo, hi) for lo in range(size) for hi in range(lo + 1, size + 1)]
+        for spec in specs:
+            passed, stopped = spec.pass_intervals(size), spec.stop_intervals(size)
+            intervals = sorted(passed + stopped)
+            assert [lo for lo, _ in intervals] == [0] + [hi for _, hi in intervals[:-1]], spec
+            assert intervals[-1][1] == size and all(lo < hi for lo, hi in intervals), spec
+            for part in (passed, stopped):
+                assert all(hi < lo for (_, hi), (lo, _) in zip(part, part[1:])), spec
 
 
 def test_zero_signal_rejected():

@@ -157,6 +157,12 @@ def test_empty_control_mcx_acts_as_x():
     via_mcx = sim.apply_gate(state, sim.mcx([], 1))
     via_x = sim.apply_gate(state, sim.x(1))
     assert_allclose(via_mcx.amplitudes, via_x.amplitudes)
+    # and the gate model says so: an X has its qubit as target and no controls
+    assert sim.x(3).target == 3 and sim.x(3).controls == ()
+    with pytest.raises(AttributeError, match="H has no target"):
+        sim.h(0).target
+    with pytest.raises(AttributeError, match="SWAP has no controls"):
+        sim.swap(0, 1).controls
 
 
 def test_cnot_equals_single_closed_mcx():
@@ -779,6 +785,8 @@ def test_project_ancilla_probabilities_sum():
 def test_statevector_norm_enforced():
     with pytest.raises(sim.NormalizationError):
         sim.Statevector(1, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match=r"^expected 2\*\*2 amplitudes, got shape \(2,\)$"):
+        sim.Statevector(2, [1.0, 0.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -800,6 +808,11 @@ def test_gate_validation():
         sim.Gate("H", (0, 1))
     with pytest.raises(ValueError):
         sim.Gate("X", (-1,))
+    for make, message in [(lambda: sim.Gate("MCX", ()), "MCX needs a target qubit"),
+                          (lambda: sim.Gate("MCX", (0, 1), ()), "one polarity per control is required"),
+                          (lambda: sim.Gate("H", (0,), (sim.OPEN,)), "H takes no polarities")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
     # a float index used to construct and then fail in a shift inside run_circuit
     for make in (lambda: sim.h(1.5), lambda: sim.h(np.float64(1.0)), lambda: sim.cnot(0, 1.0),
                  lambda: sim.mcx([(np.float32(0.0), sim.OPEN)], 1), lambda: sim.Gate("SWAP", (0, "1"))):
@@ -816,3 +829,5 @@ def test_basis_state_range_check():
         sim.basis_state(2, 4)
     with pytest.raises(ValueError):
         sim.project_ancilla(random_state(2), 1, 2)
+    with pytest.raises(ValueError, match="^qubit 2 out of range for 2$"):
+        sim.project_ancilla(sim.basis_state(2), 2, 0)

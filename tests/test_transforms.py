@@ -277,6 +277,8 @@ def test_fwht_tag_transitions():
     seq = tr.wht_sequency(v)
     with pytest.raises(ValueError):
         tr.fwht_natural(seq)
+    with pytest.raises(ValueError, match="^natural-tagged input; use fwht_natural to go back$"):
+        tr.wht_sequency(fwd)
 
 
 def test_fwht_sizing_error():

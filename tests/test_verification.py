@@ -1,10 +1,11 @@
 """The self-check suites must pass on the real code and fail on broken code."""
 
+import dataclasses
 import time
 
 import pytest
 
-from walshdsp import circuits, transforms, verification
+from walshdsp import circuits, filters, transforms, verification
 
 
 def test_run_all_passes():
@@ -51,18 +52,68 @@ def _flip_a_kernel_sign(monkeypatch):
     monkeypatch.setattr(transforms, "_hadamard_layer", broken)
 
 
+def _break_map_above_the_table(monkeypatch):
+    real = transforms.sequency_of
+
+    def broken(s, n):
+        # the frozen n=3 table still holds; one n=4 output pair is transposed
+        return real(15 - s if n == 4 and s in (7, 8) else s, n)
+
+    monkeypatch.setattr(transforms, "sequency_of", broken)
+
+
+def _break_recursion(monkeypatch):
+    real = transforms.sequency_recursion_trace
+
+    def broken(s, n):
+        # the doubling recursion ends one off for one row at n=3
+        trace = real(s, n)
+        return trace[:-1] + [trace[-1] ^ 1] if (s, n) == (5, 3) else trace
+
+    monkeypatch.setattr(transforms, "sequency_recursion_trace", broken)
+
+
+def _shift_quantum_result(first_sample=0.0, p_pass=0.0):
+    def inject(monkeypatch):
+        real = filters.filter_quantum
+
+        def broken(signal, spec, **kwargs):
+            # the pass branch's first sample and p_pass moved by the shifts
+            result = real(signal, spec, **kwargs)
+            values = result.pass_branch.values.copy()
+            values[0] += first_sample
+            return dataclasses.replace(result, pass_branch=transforms.time_series(values),
+                                       p_pass=result.p_pass + p_pass)
+
+        monkeypatch.setattr(filters, "filter_quantum", broken)
+
+    return inject
+
+
 @pytest.mark.parametrize(
-    "check,inject",
-    [(verification.check_sequency_map, _break_map), (verification.check_circuit_vs_matrix, _drop_a_gate),
-     (verification.check_circuit_vs_matrix, _flip_a_kernel_sign)],
-    ids=["map", "matrix", "kernel"],
+    "check,inject,detail",
+    [(verification.check_sequency_map, _break_map, "n=3"),
+     (verification.check_circuit_vs_matrix, _drop_a_gate, "n=3"),
+     (verification.check_circuit_vs_matrix, _flip_a_kernel_sign, "n=3"),
+     (verification.check_sequency_map, _break_map_above_the_table, "mismatch at s=7, n=4"),
+     (verification.check_sequency_map, _break_recursion, "recursion ends at 7 for s=5, n=3"),
+     # the input norm at N=16 is 4, so 1e-6 in one sample is far beyond the
+     # scaled 1e-10, and 3e-10 is within it but not within the absolute 1e-10
+     # of the rebuilt input
+     (verification.check_path_equivalence, _shift_quantum_result(first_sample=1e-6), "low c=4: scaled error"),
+     (verification.check_path_equivalence, _shift_quantum_result(p_pass=1e-9),
+      "low c=4: probabilities do not sum to 1"),
+     (verification.check_path_equivalence, _shift_quantum_result(first_sample=3e-10),
+      "low c=4: branches do not rebuild the input")],
+    ids=["map", "matrix", "kernel", "map-above-the-table", "recursion", "path-error", "path-probability",
+         "path-reconstruction"],
 )
-def test_injected_fault_is_detected(monkeypatch, check, inject):
+def test_injected_fault_is_detected(monkeypatch, check, inject, detail):
     assert check(4).ok
     inject(monkeypatch)
     result = check(4)
     assert not result.ok
-    assert "n=3" in result.detail
+    assert detail in result.detail
 
 
 def test_path_equivalence_standalone():
