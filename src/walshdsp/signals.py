@@ -16,9 +16,9 @@ Shapes:
 
 CSV format: one float per line, '.' decimal separator, newline terminators,
 written with 17 significant digits so values round-trip bit for bit. An
-optional leading index column and a non-numeric header row are tolerated on
-input; a nan or inf sample is rejected. Length checks are deferred to
-transform time.
+optional leading index column, blank lines and a non-numeric header (the
+first non-blank row) are tolerated on input; a nan or inf sample is
+rejected. Length checks are deferred to transform time.
 """
 
 from __future__ import annotations
@@ -121,13 +121,14 @@ def save_csv(path, values, with_index: bool = False) -> None:
 def load_csv(path) -> Coefficients:
     """Read a one-column (optionally indexed) CSV as a time-ordered vector.
 
-    The first row is skipped if it does not parse as numbers; any later parse
-    failure is an error, and so is a nan or inf sample. Rows with several
-    comma-separated fields contribute their last field, so 'index,value' files
-    load unchanged. A leading UTF-8 byte-order mark, as Excel writes, is
-    dropped.
+    Blank lines are skipped. The first other row is skipped if it does not
+    parse as numbers; any later parse failure is an error, and so is a nan
+    or inf sample. Rows with several comma-separated fields contribute their
+    last field, so 'index,value' files load unchanged. A leading UTF-8
+    byte-order mark, as Excel writes, is dropped.
     """
     values = []
+    header = False  # a row was skipped as the header
     with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh):
             line = raw.strip()
@@ -137,8 +138,10 @@ def load_csv(path) -> Coefficients:
             try:
                 value = float(field)
             except ValueError:
-                if lineno == 0:
-                    continue  # header row
+                # only the first non-blank row can be the header
+                if not (values or header):
+                    header = True
+                    continue
                 raise ValueError(f"line {lineno + 1}: could not parse {field!r}")
             if not math.isfinite(value):
                 raise ValueError(f"line {lineno + 1}: non-finite sample {field!r}")

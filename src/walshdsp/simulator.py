@@ -43,7 +43,24 @@ where it must:
   the ancilla) widens the state: the amplitudes are written into their
   block of a fresh zeroed state of the circuit's width. The pending map's
   columns for those qubits are still the identity, so it carries on as it
-  was. A circuit that never touches them is widened once at the end.
+  was. A circuit that never touches them is widened once at the end;
+* where that layer is an MCX run on the one known qubit of a state one
+  qubit narrower than the circuit (a filter's selector on the ancilla), the
+  state is split on that qubit instead. After the selector a filter circuit
+  acts on the data qubits alone, so the two halves evolve apart (deferred
+  measurement). The halves are two blocks of their own: the amplitudes,
+  and the spare zero-filled. Each gate of the run swaps its sub-cube
+  between them with three exact copies through the fresh output, which
+  nothing has written yet. CNOT and SWAP runs below the split qubit
+  compose into the map, and an H run below it runs on each block with the
+  block's half of the output as spare: with an odd number of Hadamard
+  blocks (n = 17..20 data qubits), the last layer writes the output
+  directly. Any other layer, and the end, joins the halves: each block is
+  gathered through the map, which is not done when it is the identity (as
+  before an H run), and copied into its half unless it is there already.
+  Only blocks of at least _ALIGN_FLOOR bytes (2**14 float64 amplitudes)
+  split: smaller buffers come from the heap and take no first-touch
+  faults, and two kernel calls per H layer cost more than they save.
 
 The layers come from the gate list alone. apply_gate keeps the per-gate
 index-array kernel as the slow reference the compiled path is tested
@@ -64,7 +81,8 @@ from operator import attrgetter, index, or_, xor
 
 import numpy as np
 
-from walshdsp.transforms import _empty, _hadamard_layer, check_index, check_int, gf2_index, peak_units, time_signal
+from walshdsp.transforms import (_ALIGN_FLOOR, _empty, _hadamard_layer, check_index, check_int, gf2_index,
+                                 peak_units, time_signal)
 
 OPEN = "open"
 CLOSED = "closed"
@@ -293,15 +311,24 @@ class _PendingMap:
             else:
                 columns[a], columns[b] = columns[b], columns[a]
 
+    def widen(self, n_qubits: int) -> _PendingMap:
+        """The same map on n_qubits, the qubits added above it left where they are."""
+        wide = _PendingMap(n_qubits)
+        wide.columns[: len(self.columns)] = self.columns
+        return wide
+
+    def take(self) -> np.ndarray | None:
+        """The map's gather index, None if it is the identity; leaves the map empty."""
+        if self.columns == self.identity:
+            return None
+        columns, self.columns = self.columns, list(self.identity)
+        return gf2_index(columns)
+
     def flush(self, amps: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gather through the map into spare, out[j] = amps[source(j)], unless
-        it is the identity; returns the swapped pair and leaves the map empty."""
+        """Gather through the map into spare (see _gather) and leave the map empty."""
         if self.columns == self.identity:
             return amps, spare
-        # gf2_index stays in range; mode="raise" would buffer the take
-        np.take(amps, gf2_index(self.columns), out=spare, mode="clip")
-        self.columns = list(self.identity)
-        return spare, amps
+        return _gather(amps, spare, self.take())
 
     def sub_cube(self, gate: Gate):
         """Where an X or MCX gate acts in storage, as (shape, lo, hi); None if the map does not carry it.
@@ -358,15 +385,27 @@ def _cube_layout(columns: tuple, qubits: tuple):
     return tuple(shape), tuple(runs), bin(edges >> t).count("1") - 1
 
 
+def _gather(amps: np.ndarray, spare: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
+    """spare[j] = amps[index[j]], returning the swapped pair; the pair as it is if index is None."""
+    if index is None:
+        return amps, spare
+    # gf2_index stays in range; mode="raise" would buffer the take
+    np.take(amps, index, out=spare, mode="clip")
+    return spare, amps
+
+
 def run_circuit(state: Statevector, circuit) -> Statevector:
     """Apply a circuit's gates in order, compiled into layers (module docstring).
 
     The state may be narrower than the circuit, never wider: the qubits
     above it start in |0> and stay known bits until a layer other than X
-    touches one. The input amplitudes are read, never written: the first
-    layer that moves them, or the widening, writes a buffer of its own. An
-    X or MCX run that comes first copies them whole and swaps in the copy,
-    and a circuit that moves nothing returns a copy.
+    touches one. If that layer is an MCX run on the one known qubit, the
+    state is split on it instead of widened, and the two halves are joined
+    into the circuit's width at the first layer they cannot take, or at the
+    end. The input amplitudes are read, never written: the first layer that
+    moves them, the split or the widening writes a buffer of its own. An X
+    or MCX run that comes first copies them whole and swaps in the copy, and
+    a circuit that moves nothing returns a copy.
     """
     n, width = circuit.n_qubits, state.n_qubits
     if width > n:
@@ -375,19 +414,25 @@ def run_circuit(state: Statevector, circuit) -> Statevector:
     source = amps = state.amplitudes
     spare = _empty(amps)
     pending = _PendingMap(width)
-    for kind, run in _runs(circuit.gates):
+    layers = _runs(circuit.gates)
+    for kind, run in layers:
         if width < n:
             if kind == "X":
                 known ^= reduce(xor, (1 << gate.qubits[0] for gate in run), 0) >> width
                 if not (run := [gate for gate in run if gate.qubits[0] < width]):
                     continue
             elif max(run if kind == "H" else chain.from_iterable(map(_QUBITS, run))) >= width:
+                if (kind == "MCX" and n - width == 1 and amps.nbytes >= _ALIGN_FLOOR
+                        and all(gate.qubits[-1] == width for gate in run)):
+                    (amps, layer), spare = _run_split(amps, spare, source, known, pending, run, layers), None
+                    if layer is None:
+                        return Statevector(n, amps)
+                    kind, run = layer
+                else:
+                    # the narrow spare is freed before the wide one is taken
+                    amps, spare = _widen(amps, known, width, n), None
                 # the map has moved only the qubits below width
-                columns, pending = pending.columns, _PendingMap(n)
-                pending.columns[:width] = columns
-                # the narrow spare is freed before the wide one is taken
-                amps, spare, width = _widen(amps, known, width, n), None, n
-                spare = _empty(amps)
+                pending, width, spare = pending.widen(n), n, _empty(amps)
         if kind in _PERMUTATION_KINDS:
             pending.compose(run)
             continue
@@ -425,6 +470,58 @@ def _widen(amps: np.ndarray, known: int, width: int, n: int) -> np.ndarray:
     blocks[known] = amps
     blocks[known + 1 :] = 0
     return blocks.reshape(-1)
+
+
+def _run_split(amps, spare, source, known: int, pending: _PendingMap, run, layers):
+    """Split amps on the one known qubit above it, then run the MCX run on
+    that qubit and the layers after it that the halves take (module docstring).
+
+    Returns the state on the wider width and the first layer not run, None
+    at the end. The block for the value known is amps (a copy if amps is the
+    input), the other is spare zero-filled (a fresh buffer if spare is the
+    input). Each cube (shape, lo, hi) of the run has the qubit on axis 0, as
+    _cube_layout puts it; a later cube may overlap an earlier one.
+    """
+    width = len(pending.columns)
+    wide = pending.widen(width + 1)
+    if None in (cubes := [wide.sub_cube(gate) for gate in run]):
+        # the identity map a flush leaves carries every gate
+        amps, spare = pending.flush(amps, spare)
+        wide = pending.widen(width + 1)
+        cubes = [wide.sub_cube(gate) for gate in run]
+    zeros = _empty(amps) if spare is source else spare
+    zeros.fill(0)
+    if amps is source:
+        amps = _empty(amps)
+        amps[:] = source
+    out = _empty(amps, 2 * amps.size)
+    # one view object per half: a block in its half is told by identity
+    slots = tuple(out.reshape(2, -1))
+    blocks = (zeros, amps) if known else (amps, zeros)
+    for shape, lo, _ in cubes:
+        # lo and hi differ on axis 0 alone
+        low, high, buffer = (a.reshape(shape[1:])[lo[1:]] for a in (*blocks, slots[0]))
+        np.copyto(buffer, low)
+        np.copyto(low, high)
+        np.copyto(high, buffer)
+    halves = [[block, slot] for block, slot in zip(blocks, slots)]  # each half's block and spare
+    for kind, run in layers:
+        if kind in ("X", "MCX") or max(run if kind == "H" else chain.from_iterable(map(_QUBITS, run))) >= width:
+            break
+        if kind == "H":
+            index = pending.take()
+            for half in halves:
+                half[:] = _hadamard_layer(*_gather(*half, index), run, 2 ** (-len(run) / 2))
+        else:
+            pending.compose(run)
+    else:
+        kind = None
+    index = pending.take()
+    for half, slot in zip(halves, slots):
+        block, _ = _gather(*half, index)
+        if block is not slot:
+            slot[:] = block
+    return out, None if kind is None else (kind, run)
 
 
 def amplitude_encode(signal) -> tuple[Statevector, float]:

@@ -105,9 +105,12 @@ def check_path_equivalence(n: int = 6) -> CheckResult:
 
 def run_all(n_max: int = 8) -> list[CheckResult]:
     """The full suite, capped to keep the run quick: the map checks at n = 12
-    (their cost grows fourfold per bit) and the matrix checks at n = 8."""
+    (their cost grows fourfold per bit) and the matrix checks at n = 8. The
+    filter paths are checked at n = 6 and at n = 14, where run_circuit splits
+    the state on the ancilla instead of widening it."""
     return [
         check_sequency_map(min(n_max, 12)),
         check_circuit_vs_matrix(min(n_max, 8)),
         check_path_equivalence(6),
+        check_path_equivalence(14),
     ]

@@ -3,6 +3,7 @@ energy bookkeeping, and the spec/convention surface."""
 
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -242,11 +243,14 @@ def specs_for(size: int) -> list[flt.FilterSpec]:
 
 
 @pytest.mark.parametrize("swapped", [False, True])
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 18))
 def test_quantum_keeps_the_bits_of_the_padded_state(n, swapped):
     # filter_quantum hands run_circuit the n-qubit encoded state, whose
     # ancilla stays a known |0> bit until the selector; projecting the run on
-    # the explicitly padded state gives the same bits
+    # the explicitly padded state gives the same bits. From n = 14 the state
+    # is split on the ancilla at the selector instead of widened, and the
+    # last H layer of 4 (n = 13..16) or 5 (n = 17) Hadamard blocks ends in
+    # each half or in the output
     signal = np.random.default_rng(200 + n).standard_normal(1 << n)
     encoded, scale = sim.amplitude_encode(signal)
     amps = np.zeros(2 << n)
@@ -260,6 +264,18 @@ def test_quantum_keeps_the_bits_of_the_padded_state(n, swapped):
         assert np.array_equal(result.pass_branch.values, pass_amps * scale)
         assert np.array_equal(result.stop_branch.values, stop_amps * scale)
         assert (result.p_pass, result.p_stop) == (p_pass, p_stop)
+
+
+@pytest.mark.parametrize("n", [14, 20])
+def test_successive_results_share_no_memory(n):
+    # each branch is a buffer of its own: not a view of the other branch, of
+    # the other call's branches, or of the input
+    signal = np.random.default_rng(n).standard_normal(1 << n)
+    first = flt.filter_quantum(signal, flt.FilterSpec.low_pass(1 << (n - 2)))
+    second = flt.filter_quantum(signal, flt.FilterSpec.band_pass(37, 901), swapped=True)
+    arrays = [signal] + [b.values for r in (first, second) for b in (r.pass_branch, r.stop_branch)]
+    for a, b in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(a, b)
 
 
 @pytest.mark.parametrize("n", [17, 18])

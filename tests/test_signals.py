@@ -176,6 +176,23 @@ def test_csv_header_skipped(tmp_path):
     assert sg.load_csv(path).values.tolist() == [1.5, 2.5]
 
 
+@pytest.mark.parametrize("text", ["\nvalue\n1\n2\n", "\n \n\nvalue\n\n1\n2\n", "value\n\n1\n2\n",
+                                  "\n\n1\n2\n"],
+                         ids=["blank-then-header", "blanks-around-header", "header-then-blank", "blanks-no-header"])
+def test_csv_header_is_the_first_non_blank_row(tmp_path, text):
+    path = tmp_path / "v.csv"
+    path.write_text(text)
+    assert sg.load_csv(path).values.tolist() == [1.0, 2.0]
+
+
+def test_csv_second_non_numeric_row_is_an_error(tmp_path):
+    # one header at most, wherever the blank lines put it
+    path = tmp_path / "v.csv"
+    path.write_text("\nvalue\n\nunit\n1\n")
+    with pytest.raises(ValueError, match="line 4: could not parse 'unit'"):
+        sg.load_csv(path)
+
+
 @pytest.mark.parametrize("header", [False, True])
 @pytest.mark.parametrize("with_index", [False, True])
 def test_csv_byte_order_mark_keeps_every_sample(tmp_path, header, with_index):

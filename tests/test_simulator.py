@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -335,13 +336,14 @@ def test_filter_circuits_defer_uz_and_make_no_gather(monkeypatch, swapped):
     # the selector swaps two strided views per gate, and uz inverse cancels
     # uz; the dc circuit has no uz. A leading X swaps the two halves of the
     # padded state and flips a known bit over the data qubits alone, where
-    # the widening keeps the map: no circuit builds an index array
-    n = 10
+    # the widening keeps the map: no circuit builds an index array, nor does
+    # the split a 14-qubit state takes at the selector instead
     sizes = count_gf2_indices(monkeypatch)
-    for state in (random_real_state(n + 1), random_real_state(n)):
-        for spec in (FilterSpec.low_pass(300), FilterSpec.high_pass(517), FilterSpec.band_pass(37, 901),
-                     FilterSpec.dc()):
-            sim.run_circuit(state, build_filter_circuit(n, spec, swapped=swapped))
+    for n in (10, 14):
+        for state in (random_real_state(n + 1), random_real_state(n)):
+            for spec in (FilterSpec.low_pass(300), FilterSpec.high_pass(517), FilterSpec.band_pass(37, 901),
+                         FilterSpec.dc()):
+                sim.run_circuit(state, build_filter_circuit(n, spec, swapped=swapped))
     assert sizes == []
 
 
@@ -600,12 +602,16 @@ def padded(state: sim.Statevector, n: int) -> sim.Statevector:
     return sim.Statevector(n, amps)
 
 
-# gates whose target is qubit 1, 2 or 3, which a narrow state holds as a known bit
+# gates whose target is qubit 1, 2 or 3, which a narrow state holds as a known
+# bit; the MCX gates on qubit 3 with every control below it split a 3-qubit
+# state from the size floor on
 KNOWN_TARGET_GATES = [
     sim.x(3),
     sim.x(1),
     sim.mcx([(0, sim.CLOSED)], 3),
     sim.mcx([(0, sim.OPEN), (1, sim.CLOSED)], 2),
+    sim.mcx([(1, sim.OPEN), (2, sim.CLOSED)], 3),
+    sim.mcx([], 3),
 ]
 
 
@@ -627,18 +633,72 @@ def narrow_runs(draw):
     return Circuit(4, tuple(gates)), draw(st.integers(1, 3))
 
 
-@settings(max_examples=300, deadline=None)
-@given(narrow_runs(), st.booleans(), st.integers(0, 2**32 - 1))
-# X gates on known bits only: no amplitude moves, and the end widens once
-@example((Circuit(4, (sim.x(3), sim.x(0), sim.x(2), sim.x(3))), 2), False, 0)
-# an X on a known bit, then the MCX run on it widens the state, as the
-# selector does in a filter circuit
-@example((Circuit(4, (sim.x(3), sim.h(0), sim.h(1), sim.swap(0, 2), sim.mcx([(0, sim.CLOSED)], 3))), 1), True, 1)
-# a pending SWAP on the dense qubits carried through the widening by a CNOT
-@example((Circuit(4, (sim.swap(0, 1), sim.cnot(0, 3), sim.h(1))), 2), False, 2)
-# an H on every qubit of a 1-qubit state, then one on a known bit
-@example((Circuit(4, (sim.h(0), sim.h(3))), 3), True, 3)
-def test_narrow_state_matches_gate_fold_and_padded_state(case, complex_state, seed):
+@st.composite
+def split_runs(draw):
+    """A circuit that splits a 3-qubit state on qubit 3 once it is above the size floor.
+
+    Gates below qubit 3 and X gates on it, an MCX run on it whose controls lie
+    below it (joined to a trailing MCX gate of the first part, it widens
+    instead), then any gates from the catalog.
+    """
+    catalog = GATE_CATALOG_4Q + KNOWN_TARGET_GATES
+    below = [g for g in catalog if max(g.qubits) < 3 or g.kind == "X"]
+    selector = [g for g in catalog if g.kind == "MCX" and g.qubits[-1] == 3]
+    gates = draw(st.lists(st.sampled_from(below), max_size=6))
+    gates += draw(st.lists(st.sampled_from(selector), min_size=1, max_size=3))
+    gates += draw(st.lists(st.sampled_from(catalog), max_size=6))
+    return Circuit(4, tuple(gates)), 1
+
+
+def _on_narrow_runs(cases):
+    """Drawn cases and the examples below, each as (case, complex_state, seed)."""
+    split = [(0, sim.CLOSED)]
+    examples = [
+        # X gates on known bits only: no amplitude moves, and the end widens once
+        ((Circuit(4, (sim.x(3), sim.x(0), sim.x(2), sim.x(3))), 2), False, 0),
+        # an X on a known bit, then the MCX run on it widens (or splits) the
+        # state, as the selector does in a filter circuit
+        ((Circuit(4, (sim.x(3), sim.h(0), sim.h(1), sim.swap(0, 2), sim.mcx(split, 3))), 1), True, 1),
+        # a pending SWAP on the dense qubits carried through the widening by a CNOT
+        ((Circuit(4, (sim.swap(0, 1), sim.cnot(0, 3), sim.h(1))), 2), False, 2),
+        # an H on every qubit of a 1-qubit state, then one on a known bit
+        ((Circuit(4, (sim.h(0), sim.h(3))), 3), True, 3),
+        # a split, then CNOT and SWAP composed and flushed per half before an H
+        ((Circuit(4, (sim.h(0), sim.h(1), sim.mcx(split, 3), sim.cnot(0, 1), sim.swap(1, 2), sim.h(0),
+                      sim.h(2))), 1), False, 4),
+        # a split, an H on every qubit below it, and a SWAP left to the end
+        ((Circuit(4, (sim.h(2), sim.mcx([(2, sim.OPEN)], 3), sim.h(0), sim.h(1), sim.h(2), sim.swap(0, 2))), 1),
+         True, 5),
+        # a split joined mid-circuit by an H, an X or a CNOT on the split qubit,
+        # the last after a SWAP below it, which the join gathers per half
+        ((Circuit(4, (sim.h(1), sim.mcx([(1, sim.CLOSED)], 3), sim.h(3), sim.h(0))), 1), False, 6),
+        ((Circuit(4, (sim.h(0), sim.mcx([(0, sim.OPEN)], 3), sim.x(3), sim.h(1))), 1), True, 7),
+        ((Circuit(4, (sim.h(0), sim.mcx(split, 3), sim.swap(0, 1), sim.cnot(3, 2), sim.h(2))), 1), False, 8),
+        # an X or an MCX run below the split qubit joins the halves too
+        ((Circuit(4, (sim.h(0), sim.mcx(split, 3), sim.x(1))), 1), True, 9),
+        ((Circuit(4, (sim.h(0), sim.mcx(split, 3), sim.h(1), sim.mcx([(0, sim.OPEN)], 2))), 1), False, 15),
+        # an MCX run that repeats a gate and overlaps it with another
+        ((Circuit(4, (sim.h(0), sim.h(1), sim.mcx(split, 3), sim.mcx(split, 3), sim.mcx([(1, sim.OPEN)], 3),
+                      sim.h(2))), 1), True, 10),
+        # the split as the first layer: the input is copied, never written
+        ((Circuit(4, (sim.mcx(split, 3), sim.h(0))), 1), False, 11),
+        ((Circuit(4, (sim.x(3), sim.mcx([(1, sim.OPEN), (2, sim.CLOSED)], 3))), 1), True, 12),
+        # a map that does not carry the run is gathered before the split, the
+        # second time from the input
+        ((Circuit(4, (sim.h(0), sim.h(1), sim.cnot(0, 1), sim.mcx([(1, sim.CLOSED)], 3))), 1), False, 13),
+        ((Circuit(4, (sim.cnot(0, 1), sim.mcx([(1, sim.CLOSED)], 3), sim.h(2))), 1), True, 14),
+    ]
+
+    def decorate(test):
+        for args in reversed(examples):
+            test = example(*args)(test)
+        test = given(cases, st.booleans(), st.integers(0, 2**32 - 1))(test)
+        return settings(max_examples=300, deadline=None)(test)
+
+    return decorate
+
+
+def assert_narrow_run_matches(case, complex_state, seed):
     circuit, narrower = case
     width = circuit.n_qubits - narrower
     rng = np.random.default_rng(seed)
@@ -652,10 +712,42 @@ def test_narrow_state_matches_gate_fold_and_padded_state(case, complex_state, se
     assert compiled.n_qubits == circuit.n_qubits
     assert compiled.amplitudes.dtype == state.amplitudes.dtype
     assert np.array_equal(state.amplitudes, before)
+    assert not np.shares_memory(compiled.amplitudes, state.amplitudes)
     folded = functools.reduce(sim.apply_gate, circuit.gates, state)
     assert_allclose(compiled.amplitudes, padded(folded, circuit.n_qubits).amplitudes, atol=1e-12)
     wide = sim.run_circuit(padded(state, circuit.n_qubits), circuit)
     assert np.array_equal(compiled.amplitudes, wide.amplitudes)
+
+
+@_on_narrow_runs(narrow_runs())
+def test_narrow_state_matches_gate_fold_and_padded_state(case, complex_state, seed):
+    assert_narrow_run_matches(case, complex_state, seed)
+
+
+@_on_narrow_runs(st.one_of(narrow_runs(), split_runs()))
+def test_split_state_matches_gate_fold_and_padded_state(case, complex_state, seed):
+    # with no size floor, every MCX run on the one known qubit, its controls
+    # below it, splits the state instead of widening it
+    with mock.patch.object(sim, "_ALIGN_FLOOR", 0):
+        assert_narrow_run_matches(case, complex_state, seed)
+
+
+@pytest.mark.parametrize("make_state,floor_width", [(random_real_state, 14), (random_state, 13)],
+                         ids=["real", "complex"])
+def test_split_from_the_size_floor_on(monkeypatch, make_state, floor_width):
+    # a half of at least 128 KiB splits; below that the state is widened
+    splits = []
+    real_split = sim._run_split
+    monkeypatch.setattr(sim, "_run_split", lambda *args: splits.append(args[0].size) or real_split(*args))
+    for width in (floor_width - 1, floor_width):
+        state = make_state(width)
+        before = state.amplitudes.copy()
+        circuit = Circuit(width + 1, (sim.mcx([(0, sim.CLOSED)], width),))
+        out = sim.run_circuit(state, circuit)
+        assert np.array_equal(state.amplitudes, before)
+        assert not np.shares_memory(out.amplitudes, state.amplitudes)
+        assert np.array_equal(out.amplitudes, sim.apply_gate(state, circuit.gates[0]).amplitudes)
+    assert splits == [1 << floor_width]
 
 
 @pytest.mark.parametrize("name", INPUT_LAYER_CIRCUITS)

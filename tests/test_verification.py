@@ -10,10 +10,13 @@ from walshdsp import circuits, filters, transforms, verification
 
 def test_run_all_passes():
     results = verification.run_all(n_max=6)
-    assert [r.name for r in results] == ["sequency-map", "circuit-vs-matrix", "path-equivalence"]
+    assert [r.name for r in results] == ["sequency-map", "circuit-vs-matrix", "path-equivalence",
+                                         "path-equivalence"]
     for r in results:
         assert r.ok, f"{r.name}: {r.detail}"
         assert r.detail
+    # one size each side of the split ancilla's floor
+    assert [r.detail.split(" at ")[1] for r in results[2:]] == ["N=64 within 1e-10", "N=16384 within 1e-10"]
 
 
 def _break_map(monkeypatch):
