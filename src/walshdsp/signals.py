@@ -15,7 +15,8 @@ Shapes:
                      interval, 0 elsewhere (cycles and phase unused)
 
 CSV format: one float per line, '.' decimal separator, newline terminators,
-written with 17 significant digits so values round-trip bit for bit. An
+written with 17 significant digits so values round-trip bit for bit. A
+number is ASCII with no '_' digit separators, as np.loadtxt reads it. An
 optional leading index column, blank lines and a non-numeric header (the
 first non-blank row) are tolerated on input; a nan or inf sample is
 rejected. Length checks are deferred to transform time.
@@ -121,9 +122,11 @@ def save_csv(path, values, with_index: bool = False) -> None:
 def load_csv(path) -> Coefficients:
     """Read a one-column (optionally indexed) CSV as a time-ordered vector.
 
-    Blank lines are skipped. The first other row is skipped if it does not
-    parse as numbers; any later parse failure is an error, and so is a nan
-    or inf sample. Rows with several comma-separated fields contribute their
+    Blank lines are skipped. A field is a number only if it is ASCII, has no
+    '_' and float() reads it, so '1_000' and full-width or Arabic-Indic
+    digits are not. The first other row is skipped if it does not parse as
+    numbers; any later parse failure is an error, and so is a nan or inf
+    sample. Rows with several comma-separated fields contribute their
     last field, so 'index,value' files load unchanged. A leading UTF-8
     byte-order mark, as Excel writes, is dropped.
     """
@@ -136,6 +139,9 @@ def load_csv(path) -> Coefficients:
                 continue
             field = line.split(",")[-1].strip()
             try:
+                # float() also reads '1_5' and non-ASCII digits; np.loadtxt does not
+                if "_" in field or not field.isascii():
+                    raise ValueError(field)
                 value = float(field)
             except ValueError:
                 # only the first non-blank row can be the header

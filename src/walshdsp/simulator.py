@@ -38,29 +38,28 @@ where it must:
   the caller's input first copies it and swaps in the copy;
 * a state narrower than the circuit has its qubits above it in |0>, and
   they are kept as known bits: the amplitudes are those of the block the
-  bits pick, an X on one flips its bit and moves nothing. The first other
-  layer that touches one (for a filter circuit, the selector's MCX run on
-  the ancilla) widens the state: the amplitudes are written into their
-  block of a fresh zeroed state of the circuit's width. The pending map's
-  columns for those qubits are still the identity, so it carries on as it
-  was. A circuit that never touches them is widened once at the end;
-* where that layer is an MCX run on the one known qubit of a state one
+  bits pick, an X on one flips its bit and moves nothing, and the layers
+  below them run on the block and a spare of its size. The first other
+  layer that touches one joins the state into the circuit's width: the
+  block is written where the bits put it in a fresh state, the rest zeroed.
+  Where that layer is an MCX run on the one known qubit of a state one
   qubit narrower than the circuit (a filter's selector on the ancilla), the
-  state is split on that qubit instead. After the selector a filter circuit
+  state is split on that qubit instead: after the selector a filter circuit
   acts on the data qubits alone, so the two halves evolve apart (deferred
-  measurement). The halves are two blocks of their own: the amplitudes,
-  and the spare zero-filled. Each gate of the run swaps its sub-cube
-  between them with three exact copies through the fresh output, which
-  nothing has written yet. CNOT and SWAP runs below the split qubit
-  compose into the map, and an H run below it runs on each block with the
-  block's half of the output as spare: with an odd number of Hadamard
-  blocks (n = 17..20 data qubits), the last layer writes the output
-  directly. Any other layer, and the end, joins the halves: each block is
-  gathered through the map, which is not done when it is the identity (as
-  before an H run), and copied into its half unless it is there already.
-  Only blocks of at least _ALIGN_FLOOR bytes (2**14 float64 amplitudes)
-  split: smaller buffers come from the heap and take no first-touch
-  faults, and two kernel calls per H layer cost more than they save.
+  measurement). The block and its spare, zero-filled, are the two halves'
+  blocks, and the halves of a fresh output their spares. Each gate of an
+  MCX run on that qubit swaps its sub-cube between the blocks with three
+  exact copies; every layer below it runs on each block in turn, so with an
+  odd number of Hadamard blocks (n = 17..20 data qubits) the last H layer
+  writes the output directly. Any other layer on the qubit, and the end,
+  joins the halves: each block is copied into its half of the output unless
+  it is there already. The pending map's columns for the known qubits are
+  still the identity, so a join mid-circuit carries it on as it was; the
+  end gathers it per block first, which a filter circuit, its map back at
+  the identity, never does. Only blocks of at least _ALIGN_FLOOR bytes
+  (2**14 float64 amplitudes) split: smaller buffers come from the heap and
+  take no first-touch faults, and two kernel calls per H layer cost more
+  than they save.
 
 The layers come from the gate list alone. apply_gate keeps the per-gate
 index-array kernel as the slow reference the compiled path is tested
@@ -317,18 +316,17 @@ class _PendingMap:
         wide.columns[: len(self.columns)] = self.columns
         return wide
 
-    def take(self) -> np.ndarray | None:
-        """The map's gather index, None if it is the identity; leaves the map empty."""
+    def flush(self, pairs) -> None:
+        """Gather each [amps, spare] pair's amps into its spare through the map,
+        swap the two, and leave the map empty; nothing moves if it is the identity."""
         if self.columns == self.identity:
-            return None
-        columns, self.columns = self.columns, list(self.identity)
-        return gf2_index(columns)
-
-    def flush(self, amps: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gather through the map into spare (see _gather) and leave the map empty."""
-        if self.columns == self.identity:
-            return amps, spare
-        return _gather(amps, spare, self.take())
+            return
+        index = gf2_index(self.columns)
+        self.columns = list(self.identity)
+        for pair in pairs:
+            # gf2_index stays in range; mode="raise" would buffer the take
+            np.take(pair[0], index, out=pair[1], mode="clip")
+            pair.reverse()
 
     def sub_cube(self, gate: Gate):
         """Where an X or MCX gate acts in storage, as (shape, lo, hi); None if the map does not carry it.
@@ -385,143 +383,140 @@ def _cube_layout(columns: tuple, qubits: tuple):
     return tuple(shape), tuple(runs), bin(edges >> t).count("1") - 1
 
 
-def _gather(amps: np.ndarray, spare: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
-    """spare[j] = amps[index[j]], returning the swapped pair; the pair as it is if index is None."""
-    if index is None:
-        return amps, spare
-    # gf2_index stays in range; mode="raise" would buffer the take
-    np.take(amps, index, out=spare, mode="clip")
-    return spare, amps
-
-
 def run_circuit(state: Statevector, circuit) -> Statevector:
     """Apply a circuit's gates in order, compiled into layers (module docstring).
 
     The state may be narrower than the circuit, never wider: the qubits
     above it start in |0> and stay known bits until a layer other than X
     touches one. If that layer is an MCX run on the one known qubit, the
-    state is split on it instead of widened, and the two halves are joined
-    into the circuit's width at the first layer they cannot take, or at the
-    end. The input amplitudes are read, never written: the first layer that
-    moves them, the split or the widening writes a buffer of its own. An X
-    or MCX run that comes first copies them whole and swaps in the copy, and
-    a circuit that moves nothing returns a copy.
+    state is split on it instead: the layers below it run on each half, and
+    the halves are joined into the circuit's width at the first layer that
+    touches that qubit and is not such a run, or at the end. The input
+    amplitudes are read, never written: the first layer that moves them, the
+    split or the join writes a buffer of its own. An X or MCX run that comes
+    first copies them whole and swaps in the copy, and a circuit that moves
+    nothing returns a copy.
     """
     n, width = circuit.n_qubits, state.n_qubits
     if width > n:
         raise ValueError(f"circuit on {n} qubits, state on {width}")
     known = 0  # the values of the known bits, qubit width + b at bit b
-    source = amps = state.amplitudes
-    spare = _empty(amps)
+    source = state.amplitudes
+    pairs = [[source, _empty(source)]]  # each block and a free buffer of its size
+    out = None  # once split: the state on n qubits, one half per block
     pending = _PendingMap(width)
-    layers = _runs(circuit.gates)
-    for kind, run in layers:
+    for kind, run in _runs(circuit.gates):
         if width < n:
-            if kind == "X":
+            if kind == "X" and out is None:
                 known ^= reduce(xor, (1 << gate.qubits[0] for gate in run), 0) >> width
                 if not (run := [gate for gate in run if gate.qubits[0] < width]):
                     continue
             elif max(run if kind == "H" else chain.from_iterable(map(_QUBITS, run))) >= width:
-                if (kind == "MCX" and n - width == 1 and amps.nbytes >= _ALIGN_FLOOR
+                if (kind == "MCX" and n - width == 1 and source.nbytes >= _ALIGN_FLOOR
                         and all(gate.qubits[-1] == width for gate in run)):
-                    (amps, layer), spare = _run_split(amps, spare, source, known, pending, run, layers), None
-                    if layer is None:
-                        return Statevector(n, amps)
-                    kind, run = layer
-                else:
-                    # the narrow spare is freed before the wide one is taken
-                    amps, spare = _widen(amps, known, width, n), None
+                    pairs, out = _split(pairs, out, source, known, pending, run)
+                    continue
+                amps = _join(pairs, out, known, n)
+                # the narrow buffers are freed before the wide spare is taken
+                pairs = None
                 # the map has moved only the qubits below width
-                pending, width, spare = pending.widen(n), n, _empty(amps)
+                pairs, out, pending, width = [[amps, _empty(amps)]], None, pending.widen(n), n
         if kind in _PERMUTATION_KINDS:
             pending.compose(run)
             continue
         if kind == "H":
-            amps, spare = pending.flush(amps, spare)
+            pending.flush(pairs)
+            cubes = None
         elif None in (cubes := [pending.sub_cube(gate) for gate in run]):
             # the identity map a flush leaves carries every gate
-            amps, spare = pending.flush(amps, spare)
+            pending.flush(pairs)
             cubes = [pending.sub_cube(gate) for gate in run]
-        if spare is source:
-            spare = _empty(amps)
-        if kind == "H":
-            # a layer reading the input writes two buffers of its own in turn
-            back = _empty(amps) if amps is source else None
-            amps, spare = _hadamard_layer(amps, spare, run, 2 ** (-len(run) / 2), back)
-            continue
-        if amps is source:
-            amps = amps.copy()
-        for shape, lo, hi in cubes:
-            states, buffer = amps.reshape(shape), spare.reshape(shape)
-            np.copyto(buffer[lo], states[lo])
-            np.copyto(states[lo], states[hi])
-            np.copyto(states[hi], buffer[lo])
-    amps, _ = pending.flush(amps, spare)
+        for pair in pairs:
+            _layer(pair, source, run, cubes)
+    pending.flush(pairs)
     if width < n:
-        return Statevector(n, _widen(amps, known, width, n))
+        return Statevector(n, _join(pairs, out, known, n))
+    ((amps, _),) = pairs
     return Statevector(n, amps.copy() if amps is source else amps)
 
 
-def _widen(amps: np.ndarray, known: int, width: int, n: int) -> np.ndarray:
-    """amps on width qubits as a fresh state on n, the qubits above reading known."""
-    # each entry written once: a zeroed buffer would be written twice where amps go
-    blocks = _empty(amps, amps.size << (n - width)).reshape(-1, amps.size)
-    blocks[:known] = 0
-    blocks[known] = amps
-    blocks[known + 1 :] = 0
-    return blocks.reshape(-1)
+def _layer(pair, source, run, cubes) -> None:
+    """An H run (cubes None) or an X or MCX run's cubes on one [block, free buffer] pair, in place."""
+    amps, spare = pair
+    if spare is source:
+        spare = _empty(amps)
+    if cubes is None:
+        # a layer reading the input writes two buffers of its own in turn
+        back = _empty(amps) if amps is source else None
+        pair[:] = _hadamard_layer(amps, spare, run, 2 ** (-len(run) / 2), back)
+        return
+    if amps is source:
+        amps = amps.copy()
+    for shape, lo, hi in cubes:
+        states, buffer = amps.reshape(shape), spare.reshape(shape)
+        np.copyto(buffer[lo], states[lo])
+        np.copyto(states[lo], states[hi])
+        np.copyto(states[hi], buffer[lo])
+    pair[:] = amps, spare
 
 
-def _run_split(amps, spare, source, known: int, pending: _PendingMap, run, layers):
-    """Split amps on the one known qubit above it, then run the MCX run on
-    that qubit and the layers after it that the halves take (module docstring).
+def _split(pairs, out, source, known: int, pending: _PendingMap, run):
+    """Run an MCX run on the one qubit above the blocks between two halves; returns (pairs, out).
 
-    Returns the state on the wider width and the first layer not run, None
-    at the end. The block for the value known is amps (a copy if amps is the
-    input), the other is spare zero-filled (a fresh buffer if spare is the
-    input). Each cube (shape, lo, hi) of the run has the qubit on axis 0, as
-    _cube_layout puts it; a later cube may overlap an earlier one.
+    The first such run splits the one block: the half for the value known
+    is its amplitudes (a copy if they are the input), the other its spare
+    zero-filled (a fresh buffer if the spare is the input), and each half of
+    a fresh out is the free buffer of its block. Each cube (shape, lo, hi)
+    of the run has the qubit on axis 0, as _cube_layout puts it, and is
+    swapped between the blocks through the first block's free buffer; a
+    later cube may overlap an earlier one.
     """
-    width = len(pending.columns)
-    wide = pending.widen(width + 1)
+    wide = pending.widen(len(pending.columns) + 1)
     if None in (cubes := [wide.sub_cube(gate) for gate in run]):
         # the identity map a flush leaves carries every gate
-        amps, spare = pending.flush(amps, spare)
-        wide = pending.widen(width + 1)
+        pending.flush(pairs)
+        wide = pending.widen(len(pending.columns) + 1)
         cubes = [wide.sub_cube(gate) for gate in run]
-    zeros = _empty(amps) if spare is source else spare
-    zeros.fill(0)
-    if amps is source:
-        amps = _empty(amps)
-        amps[:] = source
-    out = _empty(amps, 2 * amps.size)
-    # one view object per half: a block in its half is told by identity
-    slots = tuple(out.reshape(2, -1))
-    blocks = (zeros, amps) if known else (amps, zeros)
+    if out is None:
+        ((amps, spare),) = pairs
+        zeros = _empty(amps) if spare is source else spare
+        zeros.fill(0)
+        if amps is source:
+            amps = _empty(amps)
+            amps[:] = source
+        out = _empty(amps, 2 * amps.size)
+        blocks = (zeros, amps) if known else (amps, zeros)
+        pairs = [[block, half] for block, half in zip(blocks, out.reshape(2, -1))]
+    (zero, buffer), (one, _) = pairs
     for shape, lo, _ in cubes:
         # lo and hi differ on axis 0 alone
-        low, high, buffer = (a.reshape(shape[1:])[lo[1:]] for a in (*blocks, slots[0]))
-        np.copyto(buffer, low)
+        low, high, scratch = (a.reshape(shape[1:])[lo[1:]] for a in (zero, one, buffer))
+        np.copyto(scratch, low)
         np.copyto(low, high)
-        np.copyto(high, buffer)
-    halves = [[block, slot] for block, slot in zip(blocks, slots)]  # each half's block and spare
-    for kind, run in layers:
-        if kind in ("X", "MCX") or max(run if kind == "H" else chain.from_iterable(map(_QUBITS, run))) >= width:
-            break
-        if kind == "H":
-            index = pending.take()
-            for half in halves:
-                half[:] = _hadamard_layer(*_gather(*half, index), run, 2 ** (-len(run) / 2))
-        else:
-            pending.compose(run)
-    else:
-        kind = None
-    index = pending.take()
-    for half, slot in zip(halves, slots):
-        block, _ = _gather(*half, index)
-        if block is not slot:
-            slot[:] = block
-    return out, None if kind is None else (kind, run)
+        np.copyto(high, scratch)
+    return pairs, out
+
+
+def _join(pairs, out, known: int, n: int) -> np.ndarray:
+    """The state on n qubits the [block, free buffer] pairs make up.
+
+    Two blocks are a split's halves: each is copied into its half of out
+    unless it is there already. One block is written where the known bits
+    above it put it in a fresh state, the rest zero.
+    """
+    if out is not None:
+        for (block, _), half in zip(pairs, out.reshape(2, -1)):
+            # a block is either its half of out or a buffer of its own
+            if not np.may_share_memory(block, out):
+                half[:] = block
+        return out
+    ((amps, _),) = pairs
+    # each entry written once: a zeroed buffer would be written twice where amps go
+    wide = _empty(amps, 1 << n).reshape(-1, amps.size)
+    wide[:known] = 0
+    wide[known] = amps
+    wide[known + 1 :] = 0
+    return wide.reshape(-1)
 
 
 def amplitude_encode(signal) -> tuple[Statevector, float]:

@@ -323,6 +323,15 @@ def test_non_power_of_two_exits_3(tmp_path, capsys):
     assert "power of two" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["1_5", "\uff11\uff12"], ids=["underscore", "full-width"])
+def test_sample_float_reads_but_loadtxt_does_not_exits_3(tmp_path, capsys, field):
+    src = tmp_path / "odd.csv"
+    src.write_text(f"0.5\n{field}\n", encoding="utf-8")
+    assert main(["transform", "--input", str(src), "--output", str(tmp_path / "o.csv")]) == 3
+    assert f"line 2: could not parse '{field}'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["odd.csv"]
+
+
 @pytest.mark.parametrize("argv", [
     ["filter", "--kind", "dc", "--output-prefix"],
     ["transform", "--order", "sequency", "--output"],

@@ -266,6 +266,23 @@ def test_quantum_keeps_the_bits_of_the_padded_state(n, swapped):
         assert (result.p_pass, result.p_stop) == (p_pass, p_stop)
 
 
+@pytest.mark.parametrize("swapped", [False, True])
+def test_filter_at_the_size_floor_joins_its_halves_once(monkeypatch, swapped):
+    # at n = 14 the state splits on the ancilla at the selector, and every
+    # later layer of a filter circuit runs on the two halves: every layer
+    # moves 2**14 amplitudes, and the one join is the end's, of two blocks
+    sizes, joins = set(), []
+    real_layer, real_join = sim._layer, sim._join
+    monkeypatch.setattr(sim, "_layer", lambda pair, *args: sizes.add(pair[0].size) or real_layer(pair, *args))
+    monkeypatch.setattr(sim, "_join", lambda pairs, *args: joins.append(len(pairs)) or real_join(pairs, *args))
+    signal = np.random.default_rng(14).standard_normal(1 << 14)
+    for spec in specs_for(1 << 14):
+        joins.clear()
+        flt.filter_quantum(signal, spec, swapped=swapped)
+        assert joins == [2], spec
+    assert sizes == {1 << 14}
+
+
 @pytest.mark.parametrize("n", [14, 20])
 def test_successive_results_share_no_memory(n):
     # each branch is a buffer of its own: not a view of the other branch, of

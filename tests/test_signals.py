@@ -214,6 +214,22 @@ def test_csv_bad_row_raises(tmp_path):
         sg.load_csv(path)
 
 
+# float() reads each of these as a number, np.loadtxt none of them
+NOT_NUMBERS = ["1_5", "1_000", "-2_5.0", "\uff11\uff12", "\u0661\u0662", "1.\u0665"]
+
+
+@pytest.mark.parametrize("field", NOT_NUMBERS, ids=["underscore", "thousands", "signed", "full-width",
+                                                    "arabic-indic", "mixed"])
+def test_csv_underscores_and_non_ascii_digits_are_not_numbers(tmp_path, field):
+    # as the first non-blank row it is skipped as a header; any later row fails
+    path = tmp_path / "v.csv"
+    path.write_text(f"0,{field}\n1,2.5\n", encoding="utf-8")
+    assert sg.load_csv(path).values.tolist() == [2.5]
+    path.write_text(f"0.5\n\n{field}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"line 3: could not parse '{field}'"):
+        sg.load_csv(path)
+
+
 def test_csv_blank_lines_ignored(tmp_path):
     path = tmp_path / "v.csv"
     path.write_text("1.0\n\n2.0\n\n")

@@ -674,9 +674,16 @@ def _on_narrow_runs(cases):
         ((Circuit(4, (sim.h(1), sim.mcx([(1, sim.CLOSED)], 3), sim.h(3), sim.h(0))), 1), False, 6),
         ((Circuit(4, (sim.h(0), sim.mcx([(0, sim.OPEN)], 3), sim.x(3), sim.h(1))), 1), True, 7),
         ((Circuit(4, (sim.h(0), sim.mcx(split, 3), sim.swap(0, 1), sim.cnot(3, 2), sim.h(2))), 1), False, 8),
-        # an X or an MCX run below the split qubit joins the halves too
+        # an X or an MCX run below the split qubit runs on each half
         ((Circuit(4, (sim.h(0), sim.mcx(split, 3), sim.x(1))), 1), True, 9),
         ((Circuit(4, (sim.h(0), sim.mcx(split, 3), sim.h(1), sim.mcx([(0, sim.OPEN)], 2))), 1), False, 15),
+        # a second MCX run on the split qubit after an H below it, swapped
+        # between the halves without a join
+        ((Circuit(4, (sim.h(0), sim.h(1), sim.mcx(split, 3), sim.h(2), sim.mcx([(2, sim.CLOSED), (1, sim.OPEN)], 3),
+                      sim.h(0))), 1), True, 16),
+        # an X run below the split carried by a pending SWAP, both left until
+        # the end, where each half is gathered into its half of the output
+        ((Circuit(4, (sim.h(0), sim.h(2), sim.mcx(split, 3), sim.swap(1, 2), sim.x(0))), 1), False, 17),
         # an MCX run that repeats a gate and overlaps it with another
         ((Circuit(4, (sim.h(0), sim.h(1), sim.mcx(split, 3), sim.mcx(split, 3), sim.mcx([(1, sim.OPEN)], 3),
                       sim.h(2))), 1), True, 10),
@@ -737,8 +744,8 @@ def test_split_state_matches_gate_fold_and_padded_state(case, complex_state, see
 def test_split_from_the_size_floor_on(monkeypatch, make_state, floor_width):
     # a half of at least 128 KiB splits; below that the state is widened
     splits = []
-    real_split = sim._run_split
-    monkeypatch.setattr(sim, "_run_split", lambda *args: splits.append(args[0].size) or real_split(*args))
+    real_split = sim._split
+    monkeypatch.setattr(sim, "_split", lambda *args: splits.append(args[2].size) or real_split(*args))
     for width in (floor_width - 1, floor_width):
         state = make_state(width)
         before = state.amplitudes.copy()
@@ -748,6 +755,31 @@ def test_split_from_the_size_floor_on(monkeypatch, make_state, floor_width):
         assert not np.shares_memory(out.amplitudes, state.amplitudes)
         assert np.array_equal(out.amplitudes, sim.apply_gate(state, circuit.gates[0]).amplitudes)
     assert splits == [1 << floor_width]
+
+
+BELOW_THE_SPLIT = {
+    "X": (sim.x(1), sim.x(2)),
+    "MCX": (sim.h(1), sim.mcx([(0, sim.OPEN)], 2)),
+    "CNOT and H": (sim.cnot(0, 1), sim.swap(1, 2), sim.h(0), sim.h(2)),
+    "second selector": (sim.h(2), sim.mcx([(2, sim.CLOSED), (1, sim.OPEN)], 3), sim.h(0)),
+    "X under a SWAP": (sim.swap(1, 2), sim.x(0)),
+}
+
+
+@pytest.mark.parametrize("name", BELOW_THE_SPLIT)
+def test_layers_after_the_split_run_on_each_half(monkeypatch, name):
+    # after the split, layers below the split qubit and MCX runs on it keep
+    # the halves apart: every layer moves one half, and the end joins them
+    sizes, joins = set(), []
+    real_layer, real_join = sim._layer, sim._join
+    monkeypatch.setattr(sim, "_ALIGN_FLOOR", 0)
+    monkeypatch.setattr(sim, "_layer", lambda pair, *args: sizes.add(pair[0].size) or real_layer(pair, *args))
+    monkeypatch.setattr(sim, "_join", lambda pairs, *args: joins.append(len(pairs)) or real_join(pairs, *args))
+    circuit = Circuit(4, (sim.h(0), sim.h(1), sim.mcx([(0, sim.CLOSED)], 3), *BELOW_THE_SPLIT[name]))
+    state = random_state(3)
+    out = sim.run_circuit(state, circuit)
+    assert (sizes, joins) == ({8}, [2])
+    assert np.array_equal(out.amplitudes, sim.run_circuit(padded(state, 4), circuit).amplitudes)
 
 
 @pytest.mark.parametrize("name", INPUT_LAYER_CIRCUITS)
