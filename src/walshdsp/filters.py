@@ -155,17 +155,15 @@ def filter_quantum(signal, spec: FilterSpec, *, swapped: bool = False) -> Filter
     encoded, scale = simulator.amplitude_encode(signal)
     # the ancilla on top starts in |0>, as run_circuit reads the n-qubit state
     final = simulator.run_circuit(encoded, circuit)
-    pass_outcome = 1 if swapped else 0
-    pass_amps, p_pass = simulator.project_ancilla(final, n, pass_outcome)
-    stop_amps, p_stop = simulator.project_ancilla(final, n, 1 - pass_outcome)
-    # the branches are fresh copies, so they can take the units in place
-    pass_amps *= scale
-    stop_amps *= scale
+    # the ancilla is the top qubit, so its two outcomes are the state's halves:
+    # project_ancilla's branches, read in place
+    halves = final.amplitudes.reshape(2, -1)
+    pass_half, stop_half = halves[::-1] if swapped else halves
     return FilterResult(
-        Coefficients(pass_amps, TIME),
-        Coefficients(stop_amps, TIME),
-        p_pass,
-        p_stop,
+        Coefficients(pass_half * scale, TIME),
+        Coefficients(stop_half * scale, TIME),
+        float(np.vdot(pass_half, pass_half).real),
+        float(np.vdot(stop_half, stop_half).real),
         scale,
         circuit,
     )

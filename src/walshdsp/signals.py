@@ -14,6 +14,10 @@ Shapes:
   rectangular_pulse  amplitude inside [offset, offset+width) of the unit
                      interval, 0 elsewhere (cycles and phase unused)
 
+Every parameter (cycles, width, offset, amplitude, phase) must be a finite
+real number, whether the shape reads it or not: a nan or inf one raises
+ValueError naming it, where it would otherwise give wrong samples.
+
 CSV format: one float per line, '.' decimal separator, newline terminators,
 written with 17 significant digits so values round-trip bit for bit. A
 number is ASCII with no '_' digit separators, as np.loadtxt reads it. An
@@ -25,6 +29,7 @@ rejected. Length checks are deferred to transform time.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +55,10 @@ class Waveform:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown waveform kind {self.kind!r}")
+        for name in ("cycles", "width", "offset", "amplitude", "phase"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"waveform {name} must be a finite real number, got {value!r}")
         if self.kind == "rectangular_pulse":
             if not 0.0 <= self.offset < self.offset + self.width <= 1.0:
                 raise ValueError(

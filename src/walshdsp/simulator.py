@@ -21,21 +21,24 @@ where it must:
   one matmul per block of consecutive qubits into a spare buffer, with the
   unitary scale 2**(-k/2) folded into the last block;
 * CNOT/SWAP gates are a GF(2)-linear map of the basis indices. They are not
-  applied but composed into a pending map, which relabels the index bits
-  (Haener & Steiger, SC17). The map is materialised only before an H run,
-  before an X or MCX run it does not carry (below), and at the end: as one
-  gather through a transforms.gf2_index array, and not at all when it has
-  come back to the identity, as uz followed by its inverse does;
+  applied but composed into a pending map on the circuit's n qubits, which
+  relabels the index bits (Haener & Steiger, SC17). The map is materialised
+  only before an H run, before an X or MCX run it does not carry (below),
+  and at the end: as one gather through a transforms.gf2_index array over
+  the blocks' own bits, and not at all when it has come back to the
+  identity, as uz followed by its inverse does. The gather is the one step
+  that could hand the caller's input on as a free buffer; it takes a fresh
+  buffer in its place;
 * an X or MCX gate (an X is an MCX with no controls) swaps the two halves of
   the sub-cube where its controls hold, read through the pending map: when
   the map fixes the target and sends that sub-cube onto the storage sub-cube
-  of some fixed bits, as uz does for every selector gate, the gate is three
-  exact copies between two strided views of the amplitudes, through the
-  spare buffer; otherwise the map is materialised before the gate's run.
-  The views' layout, all but the fixed bits the polarities pick, is cached
-  per map and qubit tuple, so a filter's selector gates of one block size,
-  whose qubit tuples are equal, share it. An X or MCX run that would read
-  the caller's input first copies it and swaps in the copy;
+  of some fixed bits, as uz does for every selector gate, the gate is one
+  _swap, three exact copies between two strided views of the amplitudes
+  through the spare buffer; otherwise the map is materialised before the
+  gate's run. The views' layout, all but the fixed bits the polarities
+  pick, is cached per map and qubit tuple, so a filter's selector gates of
+  one block size, whose qubit tuples are equal, share it. An X or MCX run
+  that would read the caller's input first copies it and swaps in the copy;
 * a state narrower than the circuit has its qubits above it in |0>, and
   they are kept as known bits: the amplitudes are those of the block the
   bits pick, an X on one flips its bit and moves nothing, and the layers
@@ -48,18 +51,18 @@ where it must:
   acts on the data qubits alone, so the two halves evolve apart (deferred
   measurement). The block and its spare, zero-filled, are the two halves'
   blocks, and the halves of a fresh output their spares. Each gate of an
-  MCX run on that qubit swaps its sub-cube between the blocks with three
-  exact copies; every layer below it runs on each block in turn, so with an
-  odd number of Hadamard blocks (n = 17..20 data qubits) the last H layer
-  writes the output directly. Any other layer on the qubit, and the end,
-  joins the halves: each block is copied into its half of the output unless
-  it is there already. The pending map's columns for the known qubits are
-  still the identity, so a join mid-circuit carries it on as it was; the
-  end gathers it per block first, which a filter circuit, its map back at
-  the identity, never does. Only blocks of at least _ALIGN_FLOOR bytes
-  (2**14 float64 amplitudes) split: smaller buffers come from the heap and
-  take no first-touch faults, and two kernel calls per H layer cost more
-  than they save.
+  MCX run on that qubit lays its sub-cube over the n bits and swaps it
+  between the blocks with the same _swap; every layer below it runs on each
+  block in turn, so with an odd number of Hadamard blocks (n = 17..20 data
+  qubits) the last H layer writes the output directly. Any other layer on
+  the qubit, and the end, joins the halves: each block is copied into its
+  half of the output unless it is there already. The pending map's columns
+  for the known qubits stay the identity, so a join mid-circuit carries it
+  on as it is; the end gathers it per block first, which a filter circuit,
+  its map back at the identity, never does. Only blocks of at least
+  _ALIGN_FLOOR bytes (2**14 float64 amplitudes) split: smaller buffers come
+  from the heap and take no first-touch faults, and two kernel calls per H
+  layer cost more than they save.
 
 The layers come from the gate list alone. apply_gate keeps the per-gate
 index-array kernel as the slow reference the compiled path is tested
@@ -293,7 +296,9 @@ class _PendingMap:
     Every such gate is a linear involution of the index bits, so the run so
     far is linear over GF(2). The amplitude it would put at index j still
     sits at source(j) = A j; columns[b] = A e_b, and composing one more gate
-    on the right is O(1).
+    on the right is O(1). The map spans the circuit's n qubits: while the
+    state is narrower, the columns from its width up stay the identity, as a
+    CNOT or SWAP run on those qubits joins the state first.
     """
 
     def __init__(self, n_qubits: int):
@@ -310,26 +315,35 @@ class _PendingMap:
             else:
                 columns[a], columns[b] = columns[b], columns[a]
 
-    def widen(self, n_qubits: int) -> _PendingMap:
-        """The same map on n_qubits, the qubits added above it left where they are."""
-        wide = _PendingMap(n_qubits)
-        wide.columns[: len(self.columns)] = self.columns
-        return wide
-
-    def flush(self, pairs) -> None:
-        """Gather each [amps, spare] pair's amps into its spare through the map,
-        swap the two, and leave the map empty; nothing moves if it is the identity."""
+    def flush(self, pairs, source) -> None:
+        """Gather each [block, free buffer] pair's block into its free buffer
+        through the map over the blocks' own bits, swap the two, and leave the
+        map empty; nothing moves if it is the identity. A block that is the
+        input source is not handed on as a free buffer: a fresh one takes its
+        place, so no later layer writes the input."""
         if self.columns == self.identity:
             return
-        index = gf2_index(self.columns)
+        index = gf2_index(self.columns[: pairs[0][0].size.bit_length() - 1])
         self.columns = list(self.identity)
         for pair in pairs:
             # gf2_index stays in range; mode="raise" would buffer the take
             np.take(pair[0], index, out=pair[1], mode="clip")
-            pair.reverse()
+            pair[:] = pair[1], _empty(source) if pair[0] is source else pair[0]
 
-    def sub_cube(self, gate: Gate):
-        """Where an X or MCX gate acts in storage, as (shape, lo, hi); None if the map does not carry it.
+    def cubes(self, run: list[Gate], bits: int, pairs, source) -> list:
+        """The sub-cubes of an X or MCX run over bits storage bits, the pairs
+        flushed first unless the map carries every gate."""
+        if None in (cubes := [self.sub_cube(gate, bits) for gate in run]):
+            # the identity map a flush leaves carries every gate
+            self.flush(pairs, source)
+            cubes = [self.sub_cube(gate, bits) for gate in run]
+        return cubes
+
+    def sub_cube(self, gate: Gate, bits: int):
+        """Where an X or MCX gate acts on the low bits storage bits, as (shape, lo, hi); None if the map does not carry it.
+
+        bits is the width of the storage the cube is laid over: a block's
+        width, or one more at a split, whose qubit then lies on axis 0.
 
         The gate swaps logical j and j ^ e_t on the sub-cube where its
         controls hold. The map sends that sub-cube to source(j0) ^
@@ -342,7 +356,7 @@ class _PendingMap:
         source(j0) depend on the polarities; the rest is _cube_layout's.
         """
         columns, t = self.columns, gate.qubits[-1]
-        if columns[t] != 1 << t or (layout := _cube_layout(tuple(columns), gate.qubits)) is None:
+        if columns[t] != 1 << t or (layout := _cube_layout(tuple(columns[:bits]), gate.qubits)) is None:
             return None
         shape, runs, axis = layout
         closed = compress(gate.qubits, map(CLOSED.__eq__, gate.polarities))
@@ -393,8 +407,9 @@ def run_circuit(state: Statevector, circuit) -> Statevector:
     the halves are joined into the circuit's width at the first layer that
     touches that qubit and is not such a run, or at the end. The input
     amplitudes are read, never written: the first layer that moves them, the
-    split or the join writes a buffer of its own. An X or MCX run that comes
-    first copies them whole and swaps in the copy, and a circuit that moves
+    split or the join writes a buffer of its own, and a gather of them takes
+    a fresh free buffer in their place. An X or MCX run that comes first
+    copies them whole and swaps in the copy, and a circuit that moves
     nothing returns a copy.
     """
     n, width = circuit.n_qubits, state.n_qubits
@@ -404,7 +419,7 @@ def run_circuit(state: Statevector, circuit) -> Statevector:
     source = state.amplitudes
     pairs = [[source, _empty(source)]]  # each block and a free buffer of its size
     out = None  # once split: the state on n qubits, one half per block
-    pending = _PendingMap(width)
+    pending = _PendingMap(n)
     for kind, run in _runs(circuit.gates):
         if width < n:
             if kind == "X" and out is None:
@@ -419,21 +434,18 @@ def run_circuit(state: Statevector, circuit) -> Statevector:
                 amps = _join(pairs, out, known, n)
                 # the narrow buffers are freed before the wide spare is taken
                 pairs = None
-                # the map has moved only the qubits below width
-                pairs, out, pending, width = [[amps, _empty(amps)]], None, pending.widen(n), n
+                pairs, out, width = [[amps, _empty(amps)]], None, n
         if kind in _PERMUTATION_KINDS:
             pending.compose(run)
             continue
         if kind == "H":
-            pending.flush(pairs)
+            pending.flush(pairs, source)
             cubes = None
-        elif None in (cubes := [pending.sub_cube(gate) for gate in run]):
-            # the identity map a flush leaves carries every gate
-            pending.flush(pairs)
-            cubes = [pending.sub_cube(gate) for gate in run]
+        else:
+            cubes = pending.cubes(run, width, pairs, source)
         for pair in pairs:
             _layer(pair, source, run, cubes)
-    pending.flush(pairs)
+    pending.flush(pairs, source)
     if width < n:
         return Statevector(n, _join(pairs, out, known, n))
     ((amps, _),) = pairs
@@ -443,8 +455,6 @@ def run_circuit(state: Statevector, circuit) -> Statevector:
 def _layer(pair, source, run, cubes) -> None:
     """An H run (cubes None) or an X or MCX run's cubes on one [block, free buffer] pair, in place."""
     amps, spare = pair
-    if spare is source:
-        spare = _empty(amps)
     if cubes is None:
         # a layer reading the input writes two buffers of its own in turn
         back = _empty(amps) if amps is source else None
@@ -453,33 +463,32 @@ def _layer(pair, source, run, cubes) -> None:
     if amps is source:
         amps = amps.copy()
     for shape, lo, hi in cubes:
-        states, buffer = amps.reshape(shape), spare.reshape(shape)
-        np.copyto(buffer[lo], states[lo])
-        np.copyto(states[lo], states[hi])
-        np.copyto(states[hi], buffer[lo])
+        states = amps.reshape(shape)
+        _swap(states[lo], states[hi], spare.reshape(shape)[lo])
     pair[:] = amps, spare
+
+
+def _swap(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> None:
+    """Exchange two equal-shaped views through scratch, in three exact copies."""
+    np.copyto(scratch, a)
+    np.copyto(a, b)
+    np.copyto(b, scratch)
 
 
 def _split(pairs, out, source, known: int, pending: _PendingMap, run):
     """Run an MCX run on the one qubit above the blocks between two halves; returns (pairs, out).
 
     The first such run splits the one block: the half for the value known
-    is its amplitudes (a copy if they are the input), the other its spare
-    zero-filled (a fresh buffer if the spare is the input), and each half of
-    a fresh out is the free buffer of its block. Each cube (shape, lo, hi)
-    of the run has the qubit on axis 0, as _cube_layout puts it, and is
+    is its amplitudes (a copy if they are the input), the other its free
+    buffer zero-filled, and each half of a fresh out is the free buffer of
+    its block. Each cube (shape, lo, hi) of the run is laid over the map's n
+    bits, so it has the qubit on axis 0, as _cube_layout puts it, and is
     swapped between the blocks through the first block's free buffer; a
     later cube may overlap an earlier one.
     """
-    wide = pending.widen(len(pending.columns) + 1)
-    if None in (cubes := [wide.sub_cube(gate) for gate in run]):
-        # the identity map a flush leaves carries every gate
-        pending.flush(pairs)
-        wide = pending.widen(len(pending.columns) + 1)
-        cubes = [wide.sub_cube(gate) for gate in run]
+    cubes = pending.cubes(run, len(pending.columns), pairs, source)
     if out is None:
-        ((amps, spare),) = pairs
-        zeros = _empty(amps) if spare is source else spare
+        ((amps, zeros),) = pairs
         zeros.fill(0)
         if amps is source:
             amps = _empty(amps)
@@ -490,10 +499,7 @@ def _split(pairs, out, source, known: int, pending: _PendingMap, run):
     (zero, buffer), (one, _) = pairs
     for shape, lo, _ in cubes:
         # lo and hi differ on axis 0 alone
-        low, high, scratch = (a.reshape(shape[1:])[lo[1:]] for a in (zero, one, buffer))
-        np.copyto(scratch, low)
-        np.copyto(low, high)
-        np.copyto(high, scratch)
+        _swap(*(a.reshape(shape[1:])[lo[1:]] for a in (zero, one, buffer)))
     return pairs, out
 
 

@@ -79,6 +79,15 @@ def test_waveform_validation():
         sg.discretize(sg.Waveform("sine"), 0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["cycles", "width", "offset", "amplitude", "phase"])
+def test_waveform_rejects_a_non_finite_parameter(field, value):
+    # a sine reads no width or offset, and a square wave of infinite cycles
+    # discretizes to all -amplitude: each would be silently wrong
+    with pytest.raises(ValueError, match=field):
+        sg.Waveform("sine", **{field: value})
+
+
 def test_composites_basic():
     for maker in (sg.step_composite, sg.tone_composite):
         v = maker(7)

@@ -440,7 +440,7 @@ def prefixed_mcx_runs(draw):
     for gate in prefix:
         if gate.kind != "X":
             pending.compose([gate])
-        elif pending.sub_cube(gate) is None:
+        elif pending.sub_cube(gate, n) is None:
             pending = sim._PendingMap(n)
     fixed = [q for q in range(n) if pending.columns[q] == 1 << q]
     moved = [q for q in range(n) if q not in fixed]
@@ -503,6 +503,9 @@ INPUT_LAYER_CIRCUITS = {
     "gather first": Circuit(3, (sim.cnot(0, 2), sim.swap(1, 2), sim.h(0))),
     "MCX first": Circuit(3, (sim.mcx([(0, sim.CLOSED)], 2), sim.h(1), sim.mcx([(1, sim.OPEN)], 0))),
     "identity map": Circuit(3, (sim.swap(0, 1), sim.swap(0, 1))),
+    # the map does not carry the MCX, so a flush reads the input first and
+    # the MCX run then takes the free buffer as its scratch
+    "gather then MCX": Circuit(3, (sim.cnot(0, 1), sim.mcx([(1, sim.OPEN)], 2))),
 }
 
 
