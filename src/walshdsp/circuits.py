@@ -27,7 +27,7 @@ stages entirely, since index 0 is a fixed point of the reordering.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from operator import index
 
@@ -41,13 +41,15 @@ _POLARITY_OF_BIT = {"0": OPEN, "1": CLOSED}
 
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered gate list on a fixed number of qubits."""
+    """An ordered gate list on a fixed number of qubits, with a string label."""
 
     n_qubits: int
     gates: tuple[Gate, ...]
     label: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
         object.__setattr__(self, "n_qubits", check_qubit_count(self.n_qubits))
         object.__setattr__(self, "gates", tuple(self.gates))
         check_register(self.gates, self.n_qubits)
@@ -63,12 +65,7 @@ class GateStats:
     total: int
 
     def as_dict(self) -> dict:
-        return {
-            "counts": dict(self.counts),
-            "mcx_arities": list(self.mcx_arities),
-            "depth": self.depth,
-            "total": self.total,
-        }
+        return {**asdict(self), "mcx_arities": list(self.mcx_arities)}
 
 
 # each size's gates are built and checked once and shared as immutable
@@ -260,6 +257,13 @@ def _records(value, what: str) -> list:
     return value
 
 
+def _json_int(value, what: str) -> int:
+    # JSON true and false are not numbers, though Python's bool is an int
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return check_int(value, what)
+
+
 def _gate_from_record(rec) -> Gate:
     # an unknown kind has no fields here and gets Gate's own message
     kind, polarities = _field(rec, "kind", "gate record"), ()
@@ -270,7 +274,7 @@ def _gate_from_record(rec) -> Gate:
         controls, target = _records(values[0], "MCX controls"), values[1]
         values = [_field(c, "qubit", "MCX control") for c in controls] + [target]
         polarities = tuple(_field(c, "polarity", "MCX control") for c in controls)
-    return Gate(kind, tuple(check_int(q, "qubit index") for q in values), polarities)
+    return Gate(kind, tuple(_json_int(q, "qubit index") for q in values), polarities)
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:
@@ -285,18 +289,17 @@ def circuit_to_dict(circuit: Circuit) -> dict:
 
 
 def circuit_from_dict(data: dict) -> Circuit:
-    """Inverse of circuit_to_dict; qubit indices and n_qubits must be integral."""
+    """Inverse of circuit_to_dict; qubit indices and n_qubits must be integral,
+    and true and false are not integers."""
     if not isinstance(data, dict) or data.get("format") != "walshdsp-circuit":
         raise ValueError("not a walshdsp circuit description")
-    if data.get("version") != 1:
-        raise ValueError(f"unsupported circuit description version {data.get('version')!r}")
+    version = data.get("version")
+    if isinstance(version, bool) or version != 1:
+        raise ValueError(f"unsupported circuit description version {version!r}")
     records = _records(_field(data, "gates", "circuit description"), "gates")
     gates = tuple(_gate_from_record(rec) for rec in records)
-    n_qubits = check_int(_field(data, "n_qubits", "circuit description"), "n_qubits")
-    label = data.get("label", "")
-    if not isinstance(label, str):
-        raise ValueError(f"label must be a string, got {label!r}")
-    return Circuit(n_qubits, gates, label)
+    n_qubits = _json_int(_field(data, "n_qubits", "circuit description"), "n_qubits")
+    return Circuit(n_qubits, gates, data.get("label", ""))
 
 
 def circuit_to_json(circuit: Circuit) -> str:

@@ -20,7 +20,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -187,9 +187,7 @@ def _cmd_filter(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     recon = transforms.time_series(result.pass_branch.values + result.stop_branch.values)
     oracle_recon = transforms.time_series(oracle_pass.values + oracle_stop.values)
     meta = {
-        "kind": spec.kind,
-        "cutoff": spec.cutoff,
-        "band": list(spec.band) if spec.band is not None else None,
+        **asdict(spec),
         "n_samples": len(signal),
         "n_qubits": circuit.n_qubits,
         "scale": result.scale,

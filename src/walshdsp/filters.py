@@ -150,9 +150,8 @@ def _pass_mask(spec: FilterSpec, size: int) -> np.ndarray:
 
 def filter_quantum(signal, spec: FilterSpec, *, swapped: bool = False) -> FilterResult:
     """Run the filter circuit on the encoded signal and split on the ancilla."""
-    signal, n = time_signal(signal)
-    circuit = circuits.build_filter_circuit(n, spec, swapped=swapped)
     encoded, scale = simulator.amplitude_encode(signal)
+    circuit = circuits.build_filter_circuit(encoded.n_qubits, spec, swapped=swapped)
     # the ancilla on top starts in |0>, as run_circuit reads the n-qubit state
     final = simulator.run_circuit(encoded, circuit)
     # the ancilla is the top qubit, so its two outcomes are the state's halves:

@@ -16,7 +16,9 @@ Shapes:
 
 Every parameter (cycles, width, offset, amplitude, phase) must be a finite
 real number, whether the shape reads it or not: a nan or inf one raises
-ValueError naming it, where it would otherwise give wrong samples.
+ValueError naming it, where it would otherwise give wrong samples. So does a
+sine where 2*pi*cycles + phase overflows float64: its argument
+2*pi*cycles*t + phase could too, and sin() would turn it into nan.
 
 CSV format: one float per line, '.' decimal separator, newline terminators,
 written with 17 significant digits so values round-trip bit for bit. A
@@ -59,6 +61,11 @@ class Waveform:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise ValueError(f"waveform {name} must be a finite real number, got {value!r}")
+        # for t in [0, 1] the sine's argument 2*pi*cycles*t + phase lies between
+        # phase and 2*pi*cycles + phase, so it is finite if that end is
+        if self.kind == "sine" and not math.isfinite(2 * math.pi * self.cycles + self.phase):
+            raise ValueError(f"waveform cycles={self.cycles!r} and phase={self.phase!r} overflow the sine's "
+                             "argument 2*pi*cycles*t + phase")
         if self.kind == "rectangular_pulse":
             if not 0.0 <= self.offset < self.offset + self.width <= 1.0:
                 raise ValueError(
@@ -85,6 +92,11 @@ def discretize(waveform: Waveform, n: int) -> Coefficients:
     return Coefficients(vals.astype(np.float64), TIME)
 
 
+def _composite(n: int, *parts: Waveform) -> Coefficients:
+    """The sum of the parts' samples at 2**n midpoints."""
+    return Coefficients(np.sum([discretize(part, n).values for part in parts], axis=0), TIME)
+
+
 def step_composite(n: int) -> Coefficients:
     """Piecewise-constant stand-in test signal (documented fixed recipe).
 
@@ -92,12 +104,9 @@ def step_composite(n: int) -> Coefficients:
     [1/8, 1/2), and a pulse of amplitude -1 on [3/4, 1). Handy for filter
     demos because its sequency content is concentrated at dyadic indices.
     """
-    parts = [
-        discretize(Waveform("square", cycles=2.0), n).values,
-        discretize(Waveform("rectangular_pulse", offset=0.125, width=0.375, amplitude=1.5), n).values,
-        discretize(Waveform("rectangular_pulse", offset=0.75, width=0.25, amplitude=-1.0), n).values,
-    ]
-    return Coefficients(np.sum(parts, axis=0), TIME)
+    return _composite(n, Waveform("square", cycles=2.0),
+                      Waveform("rectangular_pulse", offset=0.125, width=0.375, amplitude=1.5),
+                      Waveform("rectangular_pulse", offset=0.75, width=0.25, amplitude=-1.0))
 
 
 def tone_composite(n: int) -> Coefficients:
@@ -107,12 +116,8 @@ def tone_composite(n: int) -> Coefficients:
     amplitude 4-cycle square. Mixes slow content with genuine high-sequency
     structure.
     """
-    parts = [
-        discretize(Waveform("sine", cycles=1.0), n).values,
-        discretize(Waveform("sine", cycles=3.0, amplitude=0.5), n).values,
-        discretize(Waveform("square", cycles=4.0, amplitude=0.25), n).values,
-    ]
-    return Coefficients(np.sum(parts, axis=0), TIME)
+    return _composite(n, Waveform("sine", cycles=1.0), Waveform("sine", cycles=3.0, amplitude=0.5),
+                      Waveform("square", cycles=4.0, amplitude=0.25))
 
 
 def save_csv(path, values, with_index: bool = False) -> None:

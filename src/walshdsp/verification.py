@@ -73,16 +73,9 @@ def check_path_equivalence(n: int = 6) -> CheckResult:
         signals.discretize(signals.Waveform("square", cycles=2.0), n),
         signals.tone_composite(n),
     ]
-    specs = [
-        filters.FilterSpec.low_pass(size // 4),
-        filters.FilterSpec.low_pass(size // 2),
-        filters.FilterSpec.low_pass(3 * size // 4),
-        filters.FilterSpec.high_pass(size // 4),
-        filters.FilterSpec.high_pass(size // 2),
-        filters.FilterSpec.high_pass(3 * size // 4),
-        filters.FilterSpec.band_pass(size // 4, 3 * size // 4),
-        filters.FilterSpec.dc(),
-    ]
+    cutoffs = (size // 4, size // 2, 3 * size // 4)
+    specs = [*map(filters.FilterSpec.low_pass, cutoffs), *map(filters.FilterSpec.high_pass, cutoffs),
+             filters.FilterSpec.band_pass(size // 4, 3 * size // 4), filters.FilterSpec.dc()]
     for signal in test_signals:
         for spec in specs:
             result = filters.filter_quantum(signal, spec)

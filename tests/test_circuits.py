@@ -468,6 +468,50 @@ def test_circuit_json_writes_numpy_integer_indices_as_int():
     assert qc.circuit_to_json(back) == text
 
 
+_INDEX_TYPES = st.sampled_from([int, np.int64, np.int32, np.uint8])
+
+
+@st.composite
+def _random_circuits(draw):
+    n = draw(st.integers(0, 6))
+    gates = []
+    for _ in range(draw(st.integers(0, 8) if n else st.just(0))):
+        kind = draw(st.sampled_from(["H", "X", "MCX"] + (["CNOT", "SWAP"] if n > 1 else [])))
+        size = {"H": 1, "X": 1, "CNOT": 2, "SWAP": 2}.get(kind) or draw(st.integers(1, n))
+        qubits = tuple(draw(_INDEX_TYPES)(q) for q in draw(st.permutations(range(n)))[:size])
+        polarities = tuple(draw(st.sampled_from([sim.OPEN, sim.CLOSED])) for _ in qubits[1:]) if kind == "MCX" else ()
+        gates.append(sim.Gate(kind, qubits, polarities))
+    return qc.Circuit(draw(_INDEX_TYPES)(n), gates, draw(st.text()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_circuits())
+def test_circuit_json_reads_back_every_circuit_it_writes(circuit):
+    assert qc.circuit_from_json(qc.circuit_to_json(circuit)) == circuit
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_every_builder_reads_back_from_json(n):
+    size = 1 << n
+    built = [qc.build_uz(n), qc.build_uz_inverse(n), qc.build_sequency_wht(n),
+             qc.build_sequency_selector(n, [(0, 1), (size // 2, size)])]
+    built += [qc.build_filter_circuit(n, spec, swapped=swapped)
+              for spec in _seeded_specs(n) for swapped in (False, True)]
+    for circuit in built:
+        assert qc.circuit_from_json(qc.circuit_to_json(circuit)) == circuit, circuit.label
+
+
+@pytest.mark.parametrize("label", [5, None, b"demo", ("demo",)], ids=["int", "none", "bytes", "tuple"])
+def test_circuit_label_must_be_a_string(label):
+    # checked at construction, so every circuit that builds can be written and read back
+    with pytest.raises(ValueError) as err:
+        qc.Circuit(2, (sim.h(0),), label)
+    assert str(err.value) == f"label must be a string, got {label!r}"
+    # and first, before the register
+    with pytest.raises(ValueError, match="label must be a string"):
+        qc.Circuit(-1, (sim.h(3),), label)
+
+
 def test_circuit_json_fields():
     circuit = qc.Circuit(
         3, (sim.h(0), sim.x(2), sim.cnot(0, 1), sim.swap(1, 2), sim.mcx([(0, sim.OPEN)], 2)),
@@ -639,11 +683,18 @@ _NO_GATES = {"format": "walshdsp-circuit", "version": 1, "label": "", "n_qubits"
         ([], "not a walshdsp circuit description"),
         ({**_one_gate_dict({"kind": "H", "qubit": 1}), "label": None}, "label must be a string, got None"),
         ({**_one_gate_dict({"kind": "H", "qubit": 1}), "label": 5}, "label must be a string, got 5"),
+        (_one_gate_dict({"kind": "H", "qubit": True}), "qubit index must be an integer, got True"),
+        (_one_gate_dict({"kind": "MCX", "controls": [{"qubit": False, "polarity": "open"}], "target": 2}),
+         "qubit index must be an integer, got False"),
+        (_one_gate_dict({"kind": "H", "qubit": 0}, n_qubits=True), "n_qubits must be an integer, got True"),
+        ({**_one_gate_dict({"kind": "H", "qubit": 1}), "version": True},
+         "unsupported circuit description version True"),
     ],
     ids=["no-gates", "gates-not-a-list", "no-n_qubits", "no-kind", "h-no-qubit", "cnot-no-target",
          "record-not-an-object", "kind-not-a-string", "mcx-control-not-an-object",
          "mcx-controls-not-a-list", "mcx-control-no-polarity", "not-an-object",
-         "label-null", "label-not-a-string"],
+         "label-null", "label-not-a-string", "h-qubit-true", "mcx-control-false", "n_qubits-true",
+         "version-true"],
 )
 def test_circuit_from_dict_names_what_is_missing_or_malformed(data, message):
     with pytest.raises(ValueError) as err:

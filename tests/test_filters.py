@@ -469,6 +469,15 @@ def test_zero_signal_rejected():
         flt.filter_quantum(np.zeros(8), flt.FilterSpec.low_pass(4))
 
 
+def test_filter_quantum_reads_its_signal_before_the_spec():
+    # the signal is encoded first and its width sizes the circuit, so a call
+    # with a bad signal and a spec too wide for it names the signal
+    with pytest.raises(sim.NormalizationError):
+        flt.filter_quantum(np.zeros(8), flt.FilterSpec.low_pass(100))
+    with pytest.raises(tr.SizingError):
+        flt.filter_quantum(np.ones(6), flt.FilterSpec.low_pass(100))
+
+
 def test_compare_metrics():
     v = RNG.standard_normal(8)
     same = flt.compare(v, v)

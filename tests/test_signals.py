@@ -88,6 +88,27 @@ def test_waveform_rejects_a_non_finite_parameter(field, value):
         sg.Waveform("sine", **{field: value})
 
 
+@pytest.mark.parametrize(
+    "cycles, phase",
+    [(1e308, 0.0), (-1e308, 0.0), (1e307, 1.5e308), (-1e307, -1.5e308)],
+    ids=["cycles", "-cycles", "cycles-plus-phase", "-cycles-minus-phase"],
+)
+def test_waveform_rejects_a_sine_whose_argument_overflows(cycles, phase):
+    # each parameter is finite, but 2*pi*cycles*t + phase is inf at the last
+    # midpoint t and sin(inf) is nan
+    with pytest.raises(ValueError, match="cycles=.* and phase=.* overflow"):
+        sg.Waveform("sine", cycles=cycles, phase=phase)
+    # the other shapes never form that sum
+    assert np.isfinite(sg.discretize(sg.Waveform("square", cycles=cycles, phase=phase), 3).values).all()
+
+
+@pytest.mark.parametrize("cycles, phase", [(1e307, 0.0), (0.0, 1.7e308), (-1e307, 1e308), (1e307, -1.5e308)])
+def test_waveform_sine_near_the_overflow_bound_gives_finite_samples(cycles, phase):
+    # the argument's ends, phase and 2*pi*cycles + phase, are both finite
+    for n in (1, 4, 10):
+        assert np.isfinite(sg.discretize(sg.Waveform("sine", cycles=cycles, phase=phase), n).values).all()
+
+
 def test_composites_basic():
     for maker in (sg.step_composite, sg.tone_composite):
         v = maker(7)
