@@ -42,18 +42,20 @@ _MAP_MAX_BITS = 20
 
 @dataclass(frozen=True)
 class CutoffExpr:
-    """Either a literal sample count or a*N/b in the input length N."""
+    """Either a literal sample count or a*N/b in the input length N, with the text it was read from."""
 
     literal: int | None = None
     num: int = 1
     den: int = 1
+    text: str = ""
 
-    def resolve(self, size: int) -> int:
+    def resolve(self, size: int, what: str = "cutoff") -> int:
+        """The count for N = size; ValueError naming what and the text if it is not an integer."""
         if self.literal is not None:
             return self.literal
         value, rem = divmod(self.num * size, self.den)
         if rem:
-            raise ValueError(f"cutoff {self.num}N/{self.den} is not an integer for N={size}")
+            raise ValueError(f"{what} {self.text} is not an integer for N={size}")
         return value
 
 
@@ -67,7 +69,7 @@ def _cutoff_type(text: str) -> CutoffExpr:
         den = int(m.group(2)) if m.group(2) else 1
         if den == 0:
             raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
-        return CutoffExpr(num=num, den=den)
+        return CutoffExpr(num=num, den=den, text=t)
     raise argparse.ArgumentTypeError(f"expected an integer, N, N/d, or aN/d: {text!r}")
 
 
@@ -162,7 +164,7 @@ def _filter_spec(args: argparse.Namespace, size: int, parser: argparse.ArgumentP
     if args.kind == "band":
         if args.band is None or args.cutoff is not None:
             parser.error("band requires --band LO:HI and no --cutoff")
-        return filters.FilterSpec("band", band=tuple(edge.resolve(size) for edge in args.band))
+        return filters.FilterSpec("band", band=tuple(edge.resolve(size, "band edge") for edge in args.band))
     if args.cutoff is None or args.band is not None:
         parser.error(f"{args.kind} requires --cutoff and no --band")
     return filters.FilterSpec(args.kind, cutoff=args.cutoff.resolve(size))

@@ -15,8 +15,9 @@ Shapes:
                      interval, 0 elsewhere (cycles and phase unused)
 
 Every parameter (cycles, width, offset, amplitude, phase) must be a finite
-real number, whether the shape reads it or not: a nan or inf one raises
-ValueError naming it, where it would otherwise give wrong samples. So does a
+real number within float64's range, whether the shape reads it or not: a
+nan or inf one, or an int too large for a float, raises ValueError naming
+it, where it would otherwise give wrong samples or an OverflowError. So does a
 sine where 2*pi*cycles + phase overflows float64: its argument
 2*pi*cycles*t + phase could too, and sin() would turn it into nan.
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +61,8 @@ class Waveform:
             raise ValueError(f"unknown waveform kind {self.kind!r}")
         for name in ("cycles", "width", "offset", "amplitude", "phase"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            # a comparison, not math.isfinite, which raises OverflowError on an int beyond float64
+            if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
                 raise ValueError(f"waveform {name} must be a finite real number, got {value!r}")
         # for t in [0, 1] the sine's argument 2*pi*cycles*t + phase lies between
         # phase and 2*pi*cycles + phase, so it is finite if that end is

@@ -26,9 +26,7 @@ where it must:
   only before an H run, before an X or MCX run it does not carry (below),
   and at the end: as one gather through a transforms.gf2_index array over
   the blocks' own bits, and not at all when it has come back to the
-  identity, as uz followed by its inverse does. The gather is the one step
-  that could hand the caller's input on as a free buffer; it takes a fresh
-  buffer in its place;
+  identity, as uz followed by its inverse does;
 * an X or MCX gate (an X is an MCX with no controls) swaps the two halves of
   the sub-cube where its controls hold, read through the pending map: when
   the map fixes the target and sends that sub-cube onto the storage sub-cube
@@ -37,8 +35,7 @@ where it must:
   through the spare buffer; otherwise the map is materialised before the
   gate's run. The views' layout, all but the fixed bits the polarities
   pick, is cached per map and qubit tuple, so a filter's selector gates of
-  one block size, whose qubit tuples are equal, share it. An X or MCX run
-  that would read the caller's input first copies it and swaps in the copy;
+  one block size, whose qubit tuples are equal, share it;
 * a state narrower than the circuit has its qubits above it in |0>, and
   they are kept as known bits: the amplitudes are those of the block the
   bits pick, an X on one flips its bit and moves nothing, and the layers
@@ -64,6 +61,13 @@ where it must:
   from the heap and take no first-touch faults, and two kernel calls per H
   layer cost more than they save.
 
+The input rule is the one transforms states: a read-only array belongs to
+the caller and is never written. run_circuit views the caller's amplitudes
+read-only once, and each step that would write a block reads that flag: on
+a read-only block the H kernel writes a buffer of its own, a gather takes a
+fresh free buffer in the block's place, and an X or MCX run, the split and
+the end copy the block first.
+
 The layers come from the gate list alone. apply_gate keeps the per-gate
 index-array kernel as the slow reference the compiled path is tested
 against: an H is a reshape, a SWAP or an X, CNOT or MCX (flip the target
@@ -83,8 +87,8 @@ from operator import attrgetter, index, or_, xor
 
 import numpy as np
 
-from walshdsp.transforms import (_ALIGN_FLOOR, _empty, _hadamard_layer, check_index, check_int, gf2_index,
-                                 peak_units, time_signal)
+from walshdsp.transforms import (_ALIGN_FLOOR, _empty, _hadamard_layer, _read_only, check_index, check_int,
+                                 gf2_index, peak_units, time_signal)
 
 OPEN = "open"
 CLOSED = "closed"
@@ -315,12 +319,11 @@ class _PendingMap:
             else:
                 columns[a], columns[b] = columns[b], columns[a]
 
-    def flush(self, pairs, source) -> None:
+    def flush(self, pairs) -> None:
         """Gather each [block, free buffer] pair's block into its free buffer
         through the map over the blocks' own bits, swap the two, and leave the
-        map empty; nothing moves if it is the identity. A block that is the
-        input source is not handed on as a free buffer: a fresh one takes its
-        place, so no later layer writes the input."""
+        map empty; nothing moves if it is the identity. A read-only block is
+        not handed on as a free buffer: a fresh one takes its place."""
         if self.columns == self.identity:
             return
         index = gf2_index(self.columns[: pairs[0][0].size.bit_length() - 1])
@@ -328,14 +331,14 @@ class _PendingMap:
         for pair in pairs:
             # gf2_index stays in range; mode="raise" would buffer the take
             np.take(pair[0], index, out=pair[1], mode="clip")
-            pair[:] = pair[1], _empty(source) if pair[0] is source else pair[0]
+            pair[:] = pair[1], pair[0] if pair[0].flags.writeable else _empty(pair[0])
 
-    def cubes(self, run: list[Gate], bits: int, pairs, source) -> list:
+    def cubes(self, run: list[Gate], bits: int, pairs) -> list:
         """The sub-cubes of an X or MCX run over bits storage bits, the pairs
         flushed first unless the map carries every gate."""
         if None in (cubes := [self.sub_cube(gate, bits) for gate in run]):
             # the identity map a flush leaves carries every gate
-            self.flush(pairs, source)
+            self.flush(pairs)
             cubes = [self.sub_cube(gate, bits) for gate in run]
         return cubes
 
@@ -405,19 +408,14 @@ def run_circuit(state: Statevector, circuit) -> Statevector:
     touches one. If that layer is an MCX run on the one known qubit, the
     state is split on it instead: the layers below it run on each half, and
     the halves are joined into the circuit's width at the first layer that
-    touches that qubit and is not such a run, or at the end. The input
-    amplitudes are read, never written: the first layer that moves them, the
-    split or the join writes a buffer of its own, and a gather of them takes
-    a fresh free buffer in their place. An X or MCX run that comes first
-    copies them whole and swaps in the copy, and a circuit that moves
-    nothing returns a copy.
+    touches that qubit and is not such a run, or at the end.
     """
     n, width = circuit.n_qubits, state.n_qubits
     if width > n:
         raise ValueError(f"circuit on {n} qubits, state on {width}")
     known = 0  # the values of the known bits, qubit width + b at bit b
-    source = state.amplitudes
-    pairs = [[source, _empty(source)]]  # each block and a free buffer of its size
+    amps = _read_only(state.amplitudes.view())
+    pairs = [[amps, _empty(amps)]]  # each block and a free buffer of its size
     out = None  # once split: the state on n qubits, one half per block
     pending = _PendingMap(n)
     for kind, run in _runs(circuit.gates):
@@ -427,9 +425,9 @@ def run_circuit(state: Statevector, circuit) -> Statevector:
                 if not (run := [gate for gate in run if gate.qubits[0] < width]):
                     continue
             elif max(run if kind == "H" else chain.from_iterable(map(_QUBITS, run))) >= width:
-                if (kind == "MCX" and n - width == 1 and source.nbytes >= _ALIGN_FLOOR
+                if (kind == "MCX" and n - width == 1 and pairs[0][0].nbytes >= _ALIGN_FLOOR
                         and all(gate.qubits[-1] == width for gate in run)):
-                    pairs, out = _split(pairs, out, source, known, pending, run)
+                    pairs, out = _split(pairs, out, known, pending, run)
                     continue
                 amps = _join(pairs, out, known, n)
                 # the narrow buffers are freed before the wide spare is taken
@@ -439,28 +437,23 @@ def run_circuit(state: Statevector, circuit) -> Statevector:
             pending.compose(run)
             continue
         if kind == "H":
-            pending.flush(pairs, source)
+            pending.flush(pairs)
             cubes = None
         else:
-            cubes = pending.cubes(run, width, pairs, source)
+            cubes = pending.cubes(run, width, pairs)
         for pair in pairs:
-            _layer(pair, source, run, cubes)
-    pending.flush(pairs, source)
-    if width < n:
-        return Statevector(n, _join(pairs, out, known, n))
-    ((amps, _),) = pairs
-    return Statevector(n, amps.copy() if amps is source else amps)
+            _layer(pair, run, cubes)
+    pending.flush(pairs)
+    return Statevector(n, _join(pairs, out, known, n))
 
 
-def _layer(pair, source, run, cubes) -> None:
+def _layer(pair, run, cubes) -> None:
     """An H run (cubes None) or an X or MCX run's cubes on one [block, free buffer] pair, in place."""
     amps, spare = pair
     if cubes is None:
-        # a layer reading the input writes two buffers of its own in turn
-        back = _empty(amps) if amps is source else None
-        pair[:] = _hadamard_layer(amps, spare, run, 2 ** (-len(run) / 2), back)
+        pair[:] = _hadamard_layer(amps, spare, run, 2 ** (-len(run) / 2))
         return
-    if amps is source:
+    if not amps.flags.writeable:
         amps = amps.copy()
     for shape, lo, hi in cubes:
         states = amps.reshape(shape)
@@ -475,24 +468,24 @@ def _swap(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> None:
     np.copyto(b, scratch)
 
 
-def _split(pairs, out, source, known: int, pending: _PendingMap, run):
+def _split(pairs, out, known: int, pending: _PendingMap, run):
     """Run an MCX run on the one qubit above the blocks between two halves; returns (pairs, out).
 
     The first such run splits the one block: the half for the value known
-    is its amplitudes (a copy if they are the input), the other its free
+    is its amplitudes (a copy if they are read-only), the other its free
     buffer zero-filled, and each half of a fresh out is the free buffer of
     its block. Each cube (shape, lo, hi) of the run is laid over the map's n
     bits, so it has the qubit on axis 0, as _cube_layout puts it, and is
     swapped between the blocks through the first block's free buffer; a
     later cube may overlap an earlier one.
     """
-    cubes = pending.cubes(run, len(pending.columns), pairs, source)
+    cubes = pending.cubes(run, len(pending.columns), pairs)
     if out is None:
         ((amps, zeros),) = pairs
         zeros.fill(0)
-        if amps is source:
+        if not amps.flags.writeable:
             amps = _empty(amps)
-            amps[:] = source
+            amps[:] = pairs[0][0]
         out = _empty(amps, 2 * amps.size)
         blocks = (zeros, amps) if known else (amps, zeros)
         pairs = [[block, half] for block, half in zip(blocks, out.reshape(2, -1))]
@@ -507,7 +500,8 @@ def _join(pairs, out, known: int, n: int) -> np.ndarray:
     """The state on n qubits the [block, free buffer] pairs make up.
 
     Two blocks are a split's halves: each is copied into its half of out
-    unless it is there already. One block is written where the known bits
+    unless it is there already. One block on n qubits is the state, unless
+    it is read-only; any other one block is written where the known bits
     above it put it in a fresh state, the rest zero.
     """
     if out is not None:
@@ -517,6 +511,8 @@ def _join(pairs, out, known: int, n: int) -> np.ndarray:
                 half[:] = block
         return out
     ((amps, _),) = pairs
+    if amps.size == 1 << n and amps.flags.writeable:
+        return amps
     # each entry written once: a zeroed buffer would be written twice where amps go
     wide = _empty(amps, 1 << n).reshape(-1, amps.size)
     wide[:known] = 0

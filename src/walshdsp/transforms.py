@@ -27,12 +27,18 @@ they sum in peak units instead (a coefficient beyond float64 raises). Both
 orderings are self-inverse, so each is one route: wht_sequency is the
 natural transform, then one gather into the buffer the kernel freed.
 
-The spare and back buffers the kernel writes come from _empty, which starts
-an array of at least _ALIGN_FLOOR bytes on a page boundary. glibc maps such an
-allocation on its own and starts its data 16 bytes into the first page, so
-the kernel's 16-entry rows (128 B) and 1024-entry rows (8 KiB) would each
-straddle one more cache line and one more page than they need to. On a
-2-core x86-64 VM an aligned H layer took 10-25 % less time at n = 16..20.
+The input rule: a read-only array belongs to the caller and is never
+written. The kernel owns the rule: it writes back into its input a only
+where a is writable, and takes a fresh buffer otherwise. _scaled_fwht and
+simulator.run_circuit each view the caller's array read-only once, and
+every later step reads that view's flag.
+
+The spare buffers the kernel is given and the ones it takes come from
+_empty, which starts an array of at least _ALIGN_FLOOR bytes on a page
+boundary. glibc maps such an allocation on its own and starts its data 16
+bytes into the first page, so the kernel's 16-entry rows (128 B) and
+1024-entry rows (8 KiB) would each straddle one more cache line and one
+more page than they need to. On a 2-core x86-64 VM an aligned H layer took 10-25 % less time at n = 16..20.
 The bits are the same at any offset.
 
 The sequency map (prefix XORs of the index bits, in reversed bit order) and
@@ -284,9 +290,9 @@ def _empty(like: np.ndarray, size: int | None = None) -> np.ndarray:
     return raw[start : start + nbytes].view(like.dtype)
 
 
-def _read_only(matrix: np.ndarray) -> np.ndarray:
-    matrix.flags.writeable = False
-    return matrix
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 # 2**g x 2**g Hadamard matrices of signs, entry (k, j) = (-1)**(k.j), g <= _BLOCK_QUBITS
@@ -316,7 +322,7 @@ def _hadamard_plan(qubits: tuple, scale: float) -> tuple[tuple[int, int, np.ndar
     return tuple(blocks)
 
 
-def _hadamard_layer(a: np.ndarray, spare: np.ndarray, qubits, scale: float = 1.0, back=None):
+def _hadamard_layer(a: np.ndarray, spare: np.ndarray, qubits, scale: float = 1.0):
     """scale times the unnormalized H on distinct index bits; returns the result and a free buffer.
 
     The sorted bits are cut into blocks of at most _BLOCK_QUBITS consecutive
@@ -326,10 +332,10 @@ def _hadamard_layer(a: np.ndarray, spare: np.ndarray, qubits, scale: float = 1.0
     when lo = 0), in BLAS products of at most _BLOCK_COLUMNS columns (rows);
     a block that is the whole of a is one row of a two-row product, so a
     block's bits do not depend on the size of a. The first block reads a;
-    the blocks write spare and back in turn, back being a itself unless
-    another buffer is given, which leaves a unwritten. Real or complex a.
+    the blocks write spare and a in turn, or spare and a fresh buffer from
+    _empty if a is read-only (the module's input rule). Real or complex a.
     """
-    back = a if back is None else back
+    back = a if a.flags.writeable else _empty(a)
     for lo, g, matrix in _hadamard_plan(tuple(qubits), scale):
         if a.size == 1 << g:
             # numpy gives a one-row product to gemv, which rounds its sums
@@ -354,25 +360,24 @@ def _scaled_fwht(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Natural-order transform of values with unitary scaling; returns it and a free buffer.
 
     One max/min scan finds the peak. In [2**-900, 2**900] it bounds every
-    partial sum by N * peak < 2**964 (N < 2**64): the kernel reads values,
-    writes two fresh buffers from _empty (page-aligned when large) and folds
-    2**(-n/2) into its last block for even n; odd n keeps one multiply by
-    1/sqrt(N). Other peaks go through peak_units (which rejects nan and
-    inf), are summed in its units on the divided copy, checked against
-    float64 and multiplied back. Where every sample is 0 or at least
+    partial sum by N * peak < 2**964 (N < 2**64): the kernel reads a
+    read-only view of values, so it writes two fresh buffers from _empty
+    (page-aligned when large), and folds 2**(-n/2) into its last block for
+    even n; odd n keeps one multiply by 1/sqrt(N). Other peaks go through
+    peak_units (which rejects nan and inf), are summed in its units on the
+    divided copy, which the kernel may overwrite, checked against float64
+    and multiplied back. Where every sample is 0 or at least
     2**-900 * max(1, unit) the two give the same bits, as power-of-two
     scaling commutes with normal-range rounding; the underflow of smaller
     ones (the divided copy's too) moves a coefficient by at most
     (n + 1) * sqrt(N) * max(1, unit) * 2**-1073 to first order.
     """
     n = values.size.bit_length() - 1
-    unit = None
+    unit, values = None, _read_only(values.view())
     if not 2.0 ** -900 <= max(float(values.max()), -float(values.min())) <= 2.0 ** 900:
         unit, (values,) = peak_units(values)
     fold = unit is None and n % 2 == 0
-    # the divided copy is the kernel's own to overwrite; the caller's samples are not
-    out, free = _hadamard_layer(values, _empty(values), range(n), 0.5 ** (n // 2) if fold else 1.0,
-                                _empty(values) if unit is None else None)
+    out, free = _hadamard_layer(values, _empty(values), range(n), 0.5 ** (n // 2) if fold else 1.0)
     if not fold:
         out *= 1.0 / np.sqrt(out.size)
     if unit is not None:

@@ -449,6 +449,21 @@ def test_unresolvable_cutoff_exits_3(tmp_path, square_csv, capsys):
     assert "not an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind,option,text,message", [
+    ("low", "--cutoff", "N/3", "cutoff N/3 is not an integer for N=128"),
+    ("high", "--cutoff", "2N/3", "cutoff 2N/3 is not an integer for N=128"),
+    ("band", "--band", "N/3:N/2", "band edge N/3 is not an integer for N=128"),
+    ("band", "--band", "N/4:2N/3", "band edge 2N/3 is not an integer for N=128"),
+], ids=["low-N/3", "high-2N/3", "band-N/3", "band-2N/3"])
+def test_unresolvable_cutoff_is_named_as_typed(tmp_path, capsys, kind, option, text, message):
+    src = tmp_path / "sig.csv"
+    _write_signal(src, np.sin(np.arange(128)))
+    code = main(["filter", "--kind", kind, option, text, "--input", str(src),
+                 "--output-prefix", str(tmp_path / "x")])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_malformed_cutoff_is_usage_error(tmp_path, square_csv, capsys):
     src, _ = square_csv
     for kind, option, text, message in [

@@ -79,7 +79,8 @@ def test_waveform_validation():
         sg.discretize(sg.Waveform("sine"), 0)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 10**400, -10**400],
+                         ids=["nan", "inf", "-inf", "10**400", "-10**400"])
 @pytest.mark.parametrize("field", ["cycles", "width", "offset", "amplitude", "phase"])
 def test_waveform_rejects_a_non_finite_parameter(field, value):
     # a sine reads no width or offset, and a square wave of infinite cycles

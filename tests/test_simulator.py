@@ -64,6 +64,11 @@ def random_real_state(n: int) -> sim.Statevector:
     return sim.Statevector(n, amps / np.linalg.norm(amps))
 
 
+def read_only_state(n: int) -> sim.Statevector:
+    """A random real state over a read-only buffer, as np.frombuffer gives one."""
+    return sim.Statevector(n, np.frombuffer(random_real_state(n).amplitudes.tobytes()))
+
+
 GATE_CATALOG_4Q = [
     sim.h(0),
     sim.h(3),
@@ -510,8 +515,10 @@ INPUT_LAYER_CIRCUITS = {
 
 
 @pytest.mark.parametrize("make_state,width", [
-    (random_real_state, 3), (random_state, 3), (random_real_state, 14), (random_state, 14),
-], ids=["random_real_state", "random_state", "random_real_state-14", "random_state-14"])
+    (random_real_state, 3), (random_state, 3), (read_only_state, 3),
+    (random_real_state, 14), (random_state, 14), (read_only_state, 14),
+], ids=["random_real_state", "random_state", "read_only_state",
+        "random_real_state-14", "random_state-14", "read_only_state-14"])
 @pytest.mark.parametrize("name", INPUT_LAYER_CIRCUITS)
 def test_run_circuit_never_writes_or_returns_its_input(make_state, name, width):
     # the first layer reads the input directly, so nothing may write it, and
@@ -748,7 +755,7 @@ def test_split_from_the_size_floor_on(monkeypatch, make_state, floor_width):
     # a half of at least 128 KiB splits; below that the state is widened
     splits = []
     real_split = sim._split
-    monkeypatch.setattr(sim, "_split", lambda *args: splits.append(args[2].size) or real_split(*args))
+    monkeypatch.setattr(sim, "_split", lambda *args: splits.append(args[0][0][0].size) or real_split(*args))
     for width in (floor_width - 1, floor_width):
         state = make_state(width)
         before = state.amplitudes.copy()

@@ -10,6 +10,7 @@ one-qubit H gates), which are pinned here in turn.
 
 from __future__ import annotations
 
+import itertools
 import mmap
 
 import numpy as np
@@ -506,8 +507,19 @@ def at_page_offset(x, offset):
 PAGE_OFFSETS = (0, 8, 16, 64)
 
 
+def kernel_inputs(x, offsets, writable):
+    """A copy of x as a and a spare of nans, at the page offsets given for each.
+
+    The kernel's back buffer is a itself when a is writable, and a fresh one
+    from _empty when it is read-only.
+    """
+    a, spare = (at_page_offset(v, offset) for v, offset in zip((x, np.full_like(x, np.nan)), offsets))
+    a.flags.writeable = writable
+    return a, spare
+
+
 @settings(max_examples=100, deadline=None)
-@given(kernel_cases(max_bits=16), st.tuples(*[st.sampled_from(PAGE_OFFSETS)] * 3))
+@given(kernel_cases(max_bits=16), st.tuples(*[st.sampled_from(PAGE_OFFSETS)] * 2))
 def test_hadamard_layer_bits_do_not_depend_on_the_page_offset(case, mixed):
     # _empty starts large buffers on a page where glibc starts them 16 bytes
     # in; the products must round alike wherever a, spare and back start
@@ -516,13 +528,32 @@ def test_hadamard_layer_bits_do_not_depend_on_the_page_offset(case, mixed):
     x = rng.standard_normal(1 << n)
     if complex_input:
         x = x + 1j * rng.standard_normal(1 << n)
-    garbage = np.full_like(x, np.nan)
-    want, _ = tr._hadamard_layer(x.copy(), np.empty_like(x), qubits, scale, np.empty_like(x))
-    for offsets in (*((offset,) * 3 for offset in PAGE_OFFSETS), mixed):
-        a, spare, back = (at_page_offset(v, offset) for v, offset in zip((x, garbage, garbage), offsets))
-        got, _ = tr._hadamard_layer(a, spare, qubits, scale, back)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert np.array_equal(a, x)
+    want, _ = tr._hadamard_layer(x.copy(), np.empty_like(x), qubits, scale)
+    for offsets in (*((offset,) * 2 for offset in PAGE_OFFSETS), mixed):
+        for writable in (True, False):
+            a, spare = kernel_inputs(x, offsets, writable)
+            got, _ = tr._hadamard_layer(a, spare, qubits, scale)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            if not writable:
+                assert np.array_equal(a, x)
+
+
+@pytest.mark.parametrize("complex_input", [False, True])
+@pytest.mark.parametrize("n", [4, 8, 17], ids=["1-block", "2-blocks", "5-blocks"])
+def test_hadamard_layer_never_writes_a_read_only_input(n, complex_input):
+    # a read-only a belongs to the caller: the blocks write spare and a
+    # buffer of the kernel's own, and neither returned buffer is a
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(1 << n)
+    if complex_input:
+        x = x + 1j * rng.standard_normal(1 << n)
+    a = x.copy()
+    a.flags.writeable = False
+    got = tr._hadamard_layer(a, np.empty_like(x), range(n), 2.0 ** (-n / 2))
+    assert np.array_equal(a.view(np.uint64), x.view(np.uint64))
+    assert not any(np.shares_memory(buffer, a) for buffer in got)
+    want, _ = tr._hadamard_layer(x.copy(), np.empty_like(x), range(n), 2.0 ** (-n / 2))
+    assert np.array_equal(got[0].view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -562,10 +593,12 @@ def test_hadamard_layer_takes_each_calls_scale_on_the_same_bits(n):
     # scale moves no bit, so each call must give exactly scale times the
     # unscaled result, whichever scale the same bits saw before
     x = RNG.standard_normal(1 << n)
-    runs = [(scale, tr._hadamard_layer(x, np.empty_like(x), range(n), scale, np.empty_like(x))[0].copy())
-            for scale in (1.0, 0.25, 1.0, 8.0, 0.25)]
-    for scale, out in runs:
-        assert np.array_equal(out, runs[0][1] * scale)
+    for offsets in itertools.product(PAGE_OFFSETS, repeat=2):
+        for writable in (True, False):
+            runs = [(scale, tr._hadamard_layer(*kernel_inputs(x, offsets, writable), range(n), scale)[0])
+                    for scale in (1.0, 0.25, 1.0, 8.0, 0.25)]
+            for scale, out in runs:
+                assert np.array_equal(out, runs[0][1] * scale)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-5, 1.0, 3.0, 7e5, 1e300])
@@ -728,14 +761,16 @@ def test_no_route_writes_or_returns_the_callers_samples(n, peak):
     x = at_peak(n, peak)
     before = x.copy()
     x.setflags(write=False)  # a write raises, not only shows in the comparison
-    for out in (
-        tr.fwht_natural(x),
-        tr.fwht_natural(tr.Coefficients(x, tr.NATURAL)),
-        tr.wht_sequency(x),
-        tr.wht_sequency(tr.Coefficients(x, tr.SEQUENCY), inverse=True),
-    ):
-        assert not np.shares_memory(out.values, x)
-    assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
+    # and a view of immutable bytes, as np.frombuffer gives, which no flag makes writable
+    for x in (x, np.frombuffer(before.tobytes())):
+        for out in (
+            tr.fwht_natural(x),
+            tr.fwht_natural(tr.Coefficients(x, tr.NATURAL)),
+            tr.wht_sequency(x),
+            tr.wht_sequency(tr.Coefficients(x, tr.SEQUENCY), inverse=True),
+        ):
+            assert not np.shares_memory(out.values, x)
+        assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
 
 
 def test_parseval_both_orderings():
