@@ -6,130 +6,21 @@ simulator, builders for the sequency-transform and filtering circuits, and
 end-to-end filters checked against the classical path.
 """
 
-from walshdsp.circuits import (
-    Circuit,
-    GateStats,
-    build_filter_circuit,
-    build_sequency_selector,
-    build_sequency_wht,
-    build_uz,
-    build_uz_inverse,
-    circuit_from_dict,
-    circuit_from_json,
-    circuit_to_dict,
-    circuit_to_json,
-    gate_stats,
-)
-from walshdsp.filters import (
-    FilterResult,
-    FilterSpec,
-    compare,
-    dc_remove_oracle,
-    filter_classical_oracle,
-    filter_quantum,
-)
-from walshdsp.signals import (
-    Waveform,
-    discretize,
-    load_csv,
-    save_csv,
-    step_composite,
-    tone_composite,
-)
-from walshdsp.simulator import (
-    CLOSED,
-    OPEN,
-    Gate,
-    NormalizationError,
-    Statevector,
-    amplitude_encode,
-    apply_gate,
-    basis_state,
-    cnot,
-    h,
-    mcx,
-    project_ancilla,
-    run_circuit,
-    swap,
-    x,
-)
-from walshdsp.transforms import (
-    BRUTE_FORCE_BOUND,
-    NATURAL,
-    SEQUENCY,
-    TIME,
-    Coefficients,
-    SizingError,
-    dft_spectrum,
-    fwht_natural,
-    natural_to_sequency_perm,
-    sequency_matrix,
-    sequency_of,
-    sequency_recursion_trace,
-    time_series,
-    wht_sequency,
-    zero_crossings_bruteforce,
-)
-from walshdsp.verification import CheckResult, run_all
+from walshdsp import circuits, filters, signals, simulator, transforms, verification
+from walshdsp.circuits import *
+from walshdsp.filters import *
+from walshdsp.signals import *
+from walshdsp.simulator import *
+from walshdsp.transforms import *
+from walshdsp.verification import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BRUTE_FORCE_BOUND",
-    "CLOSED",
-    "CheckResult",
-    "Circuit",
-    "Coefficients",
-    "FilterResult",
-    "FilterSpec",
-    "Gate",
-    "GateStats",
-    "NATURAL",
-    "NormalizationError",
-    "OPEN",
-    "SEQUENCY",
-    "SizingError",
-    "Statevector",
-    "TIME",
-    "Waveform",
-    "amplitude_encode",
-    "apply_gate",
-    "basis_state",
-    "build_filter_circuit",
-    "build_sequency_selector",
-    "build_sequency_wht",
-    "build_uz",
-    "build_uz_inverse",
-    "circuit_from_dict",
-    "circuit_from_json",
-    "circuit_to_dict",
-    "circuit_to_json",
-    "cnot",
-    "compare",
-    "dc_remove_oracle",
-    "dft_spectrum",
-    "discretize",
-    "filter_classical_oracle",
-    "filter_quantum",
-    "fwht_natural",
-    "gate_stats",
-    "h",
-    "load_csv",
-    "mcx",
-    "natural_to_sequency_perm",
-    "project_ancilla",
-    "run_all",
-    "run_circuit",
-    "save_csv",
-    "sequency_matrix",
-    "sequency_of",
-    "sequency_recursion_trace",
-    "step_composite",
-    "swap",
-    "time_series",
-    "tone_composite",
-    "wht_sequency",
-    "x",
-    "zero_crossings_bruteforce",
-    "__version__",
-]
+# each module's __all__ names its public surface; this package republishes them
+__all__ = ["__version__"]
+__all__ += circuits.__all__
+__all__ += filters.__all__
+__all__ += signals.__all__
+__all__ += simulator.__all__
+__all__ += transforms.__all__
+__all__ += verification.__all__

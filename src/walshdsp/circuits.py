@@ -26,6 +26,10 @@ stages entirely, since index 0 is a fixed point of the reordering.
 
 from __future__ import annotations
 
+__all__ = ["Circuit", "GateStats", "build_filter_circuit", "build_sequency_selector", "build_sequency_wht",
+           "build_uz", "build_uz_inverse", "circuit_from_dict", "circuit_from_json", "circuit_to_dict",
+           "circuit_to_json", "gate_stats"]
+
 import json
 from dataclasses import asdict, dataclass
 from functools import lru_cache

@@ -145,7 +145,7 @@ def _parseval_line(before: np.ndarray, after: np.ndarray) -> str:
     return f"parseval: |input|={unit * a:.12g} |output|={unit * b:.12g} drift={unit * abs(a - b):.3e}"
 
 
-def _cmd_transform(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_transform(args: argparse.Namespace) -> int:
     v = signals.load_csv(args.input)
     if args.order == transforms.NATURAL:
         out = transforms.fwht_natural(v)
@@ -156,17 +156,17 @@ def _cmd_transform(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     return 0
 
 
-def _filter_spec(args: argparse.Namespace, size: int, parser: argparse.ArgumentParser) -> filters.FilterSpec:
+def _filter_spec(args: argparse.Namespace, size: int) -> filters.FilterSpec:
     if args.kind == "dc":
         if args.cutoff is not None or args.band is not None:
-            parser.error("dc takes no --cutoff or --band")
+            args.parser.error("dc takes no --cutoff or --band")
         return filters.FilterSpec.dc()
     if args.kind == "band":
         if args.band is None or args.cutoff is not None:
-            parser.error("band requires --band LO:HI and no --cutoff")
+            args.parser.error("band requires --band LO:HI and no --cutoff")
         return filters.FilterSpec("band", band=tuple(edge.resolve(size, "band edge") for edge in args.band))
     if args.cutoff is None or args.band is not None:
-        parser.error(f"{args.kind} requires --cutoff and no --band")
+        args.parser.error(f"{args.kind} requires --cutoff and no --band")
     return filters.FilterSpec(args.kind, cutoff=args.cutoff.resolve(size))
 
 
@@ -176,9 +176,9 @@ def _json_metrics(metrics: dict[str, float]) -> dict[str, float | None]:
     return {name: value if math.isfinite(value) else None for name, value in metrics.items()}
 
 
-def _cmd_filter(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_filter(args: argparse.Namespace) -> int:
     signal = signals.load_csv(args.input)
-    spec = _filter_spec(args, len(signal), parser)
+    spec = _filter_spec(args, len(signal))
 
     result = filters.filter_quantum(signal, spec, swapped=args.swapped)
     oracle_pass, oracle_stop = filters.filter_classical_oracle(signal, spec)
@@ -228,7 +228,7 @@ def _suffixed(path: str, tag: str) -> str:
     return f"{root}.{tag}{ext}" if ext else f"{root}.{tag}"
 
 
-def _cmd_spectrum(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_spectrum(args: argparse.Namespace) -> int:
     v = signals.load_csv(args.input)
     written = []
     for which in _SPECTRA if args.which == "both" else (args.which,):
@@ -239,7 +239,7 @@ def _cmd_spectrum(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return 0
 
 
-def _cmd_sequency_map(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_sequency_map(args: argparse.Namespace) -> int:
     if args.n > _MAP_MAX_BITS:
         raise ValueError(f"sequency-map takes n of at most {_MAP_MAX_BITS}, got {args.n}")
     forward = transforms._sequency_index(args.n).tolist()
@@ -247,28 +247,30 @@ def _cmd_sequency_map(args: argparse.Namespace, parser: argparse.ArgumentParser)
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     results = verification.run_all(args.n_max)
     for r in results:
         print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}")
     return 0 if all(r.ok for r in results) else 1
 
 
-def _gates_build(args: argparse.Namespace, n: int, parser: argparse.ArgumentParser) -> circuits.Circuit:
+def _gates_build(args: argparse.Namespace, n: int) -> circuits.Circuit:
     if args.kind in _PLAIN_CIRCUITS:
+        if args.cutoff is not None or args.band is not None:
+            args.parser.error(f"{args.kind} takes no --cutoff or --band")
         return _PLAIN_CIRCUITS[args.kind](n)
-    return circuits.build_filter_circuit(n, _filter_spec(args, 1 << transforms.check_bits(n), parser))
+    return circuits.build_filter_circuit(n, _filter_spec(args, 1 << transforms.check_bits(n)))
 
 
-def _cmd_gates(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_gates(args: argparse.Namespace) -> int:
     if args.sweep is not None:
         if args.n is not None or args.dump is not None:
-            parser.error("gates --sweep takes no --n or --dump")
+            args.parser.error("gates --sweep takes no --n or --dump")
         lo, hi = args.sweep
         kinds = simulator.GATE_KINDS
         rows = [",".join(["n", "total", "depth", *(k.lower() for k in kinds), "arities"])]
         for n in range(lo, hi + 1):
-            stats = circuits.gate_stats(_gates_build(args, n, parser))
+            stats = circuits.gate_stats(_gates_build(args, n))
             arities = ";".join(str(a) for a in stats.mcx_arities)
             fields = [n, stats.total, stats.depth, *(stats.counts[k] for k in kinds), arities]
             rows.append(",".join(map(str, fields)))
@@ -282,10 +284,10 @@ def _cmd_gates(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         return 0
 
     if args.n is None:
-        parser.error("gates requires --n (or --sweep LO:HI)")
+        args.parser.error("gates requires --n (or --sweep LO:HI)")
     if args.output is not None:
-        parser.error("gates --output writes a --sweep table; --dump writes one circuit")
-    circuit = _gates_build(args, args.n, parser)
+        args.parser.error("gates --output writes a --sweep table; --dump writes one circuit")
+    circuit = _gates_build(args, args.n)
     stats = circuits.gate_stats(circuit)
     print(f"label: {circuit.label}")
     print(f"n_qubits: {circuit.n_qubits}")
@@ -303,11 +305,10 @@ def _cmd_gates(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        # each handler reports usage errors through its own subparser
-        return args.run(args, args.parser)
+        # each handler reports usage errors through args.parser, its own subparser
+        return args.run(args)
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -17,6 +17,9 @@ arithmetic.
 
 from __future__ import annotations
 
+__all__ = ["FilterResult", "FilterSpec", "compare", "dc_remove_oracle", "filter_classical_oracle",
+           "filter_quantum"]
+
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,7 @@ from walshdsp.transforms import (
     Coefficients,
     TIME,
     _as_coefficients,
+    _from_units,
     check_int,
     fwht_natural,
     peak_units,
@@ -188,11 +192,14 @@ def filter_classical_oracle(signal, spec: FilterSpec) -> tuple[Coefficients, Coe
 
 
 def dc_remove_oracle(signal) -> Coefficients:
-    """Mean subtraction; the classical answer DC filtering must reproduce."""
+    """Mean subtraction; the classical answer DC filtering must reproduce.
+
+    Taken in peak units; ValueError on a result beyond float64.
+    """
     signal, _ = time_signal(signal)
     # in peak units, so that huge samples do not overflow the mean
     unit, (scaled,) = peak_units(signal.values)
-    return Coefficients((scaled - scaled.mean()) * unit, TIME)
+    return Coefficients(_from_units(scaled - scaled.mean(), unit, "mean-removed signal"), TIME)
 
 
 def compare(a, b) -> dict[str, float]:

@@ -20,6 +20,10 @@ nan or inf one, or an int too large for a float, raises ValueError naming
 it, where it would otherwise give wrong samples or an OverflowError. So does a
 sine where 2*pi*cycles + phase overflows float64: its argument
 2*pi*cycles*t + phase could too, and sin() would turn it into nan.
+A Waveform stores each parameter as a Python float, whatever real type it
+was given: an int, a bool or a numpy integer or float of any width. So a
+numpy float32 or float16 parameter is checked and sampled in float64, as
+the same value given as a float would be, and np.float32(inf) is refused.
 
 CSV format: one float per line, '.' decimal separator, newline terminators,
 written with 17 significant digits so values round-trip bit for bit. A
@@ -31,10 +35,11 @@ rejected. Length checks are deferred to transform time.
 
 from __future__ import annotations
 
+__all__ = ["Waveform", "discretize", "load_csv", "save_csv", "step_composite", "tone_composite"]
+
 import math
 import numbers
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,11 +64,17 @@ class Waveform:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown waveform kind {self.kind!r}")
-        for name in ("cycles", "width", "offset", "amplitude", "phase"):
-            value = getattr(self, name)
-            # a comparison, not math.isfinite, which raises OverflowError on an int beyond float64
-            if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
-                raise ValueError(f"waveform {name} must be a finite real number, got {value!r}")
+        for field in fields(self)[1:]:  # every parameter, the fields after kind
+            value = getattr(self, field.name)
+            try:
+                # exact for a numpy float32 or float16, where comparing it with
+                # float64's max would cast that max to inf
+                number = float(value) if isinstance(value, numbers.Real) else math.nan
+            except OverflowError:  # an int beyond float64
+                number = math.nan
+            if not math.isfinite(number):
+                raise ValueError(f"waveform {field.name} must be a finite real number, got {value!r}")
+            object.__setattr__(self, field.name, number)
         # for t in [0, 1] the sine's argument 2*pi*cycles*t + phase lies between
         # phase and 2*pi*cycles + phase, so it is finite if that end is
         if self.kind == "sine" and not math.isfinite(2 * math.pi * self.cycles + self.phase):

@@ -79,6 +79,9 @@ matrix.
 
 from __future__ import annotations
 
+__all__ = ["CLOSED", "OPEN", "Gate", "NormalizationError", "Statevector", "amplitude_encode", "apply_gate",
+           "basis_state", "cnot", "h", "mcx", "project_ancilla", "run_circuit", "swap", "x"]
+
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce

@@ -50,6 +50,10 @@ BRUTE_FORCE_BOUND.
 
 from __future__ import annotations
 
+__all__ = ["BRUTE_FORCE_BOUND", "NATURAL", "SEQUENCY", "TIME", "Coefficients", "SizingError", "dft_spectrum",
+           "fwht_natural", "natural_to_sequency_perm", "sequency_matrix", "sequency_of",
+           "sequency_recursion_trace", "time_series", "wht_sequency", "zero_crossings_bruteforce"]
+
 import math
 import mmap
 import operator
@@ -181,6 +185,15 @@ def peak_units(*arrays: np.ndarray) -> tuple[float, list[np.ndarray]]:
         peak = max(peak, top, -bottom)
     unit = math.ldexp(0.5, math.frexp(peak)[1]) if peak else 1.0
     return unit, [a / unit for a in arrays]
+
+
+def _from_units(out: np.ndarray, unit: float, what: str = "transform result") -> np.ndarray:
+    """Multiply a real result summed in peak units back by unit, in place;
+    ValueError, naming what, if an entry would pass float64."""
+    if not math.isfinite(max(float(out.max()), -float(out.min())) * unit):
+        raise ValueError(f"{what} is beyond float64")
+    out *= unit
+    return out
 
 
 def _check_row(s: int, n: int) -> None:
@@ -381,9 +394,7 @@ def _scaled_fwht(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not fold:
         out *= 1.0 / np.sqrt(out.size)
     if unit is not None:
-        if not math.isfinite(max(float(out.max()), -float(out.min())) * unit):
-            raise ValueError("transform result is beyond float64")
-        out *= unit
+        _from_units(out, unit)
     return out, free
 
 

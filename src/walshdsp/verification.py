@@ -14,6 +14,8 @@ kernel) and seeing the suite report it. The oracles are never patched.
 
 from __future__ import annotations
 
+__all__ = ["CheckResult", "run_all"]
+
 from dataclasses import dataclass
 
 import numpy as np

@@ -277,8 +277,10 @@ def test_gates_sweep_csv(tmp_path, capsys):
     ([], "gates requires --n (or --sweep LO:HI)"),
     (["--sweep", "4"], "argument --sweep: expected LO:HI integers, got '4'"),
     (["--sweep", "5:3"], "argument --sweep: empty sweep '5:3'"),
+    (["--n", "3", "--cutoff", "4"], "uz takes no --cutoff or --band"),
+    (["--kind", "sequency-wht", "--sweep", "2:4", "--band", "1:2"], "sequency-wht takes no --cutoff or --band"),
 ], ids=["output-without-sweep", "sweep-with-n", "sweep-with-dump", "sweep-with-n-and-output", "no-n-or-sweep",
-        "sweep-not-a-span", "sweep-empty"])
+        "sweep-not-a-span", "sweep-empty", "uz-cutoff", "sequency-wht-band"])
 def test_gates_options_that_would_be_ignored_are_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:

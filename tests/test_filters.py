@@ -93,6 +93,15 @@ def test_dc_remove_oracle():
         flt.dc_remove_oracle(tr.Coefficients([1.0, 2.0], tr.SEQUENCY))
 
 
+def test_dc_remove_oracle_refuses_a_result_beyond_float64():
+    # the mean is -0.85e308, so the first sample minus it is 2.55e308 in
+    # float64's terms: refused, as the transforms refuse such a coefficient,
+    # not multiplied back to inf
+    with pytest.raises(ValueError, match="mean-removed signal is beyond float64"):
+        flt.dc_remove_oracle([1.7e308, -1.7e308, -1.7e308, -1.7e308])
+    assert flt.dc_remove_oracle([1.7e308, -1.7e308]).values.tolist() == [1.7e308, -1.7e308]
+
+
 def test_dc_oracle_stop_branch_is_mean():
     w = RNG.standard_normal(64)
     passed, stopped = flt.filter_classical_oracle(w, flt.FilterSpec.dc())

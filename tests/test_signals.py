@@ -79,14 +79,22 @@ def test_waveform_validation():
         sg.discretize(sg.Waveform("sine"), 0)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 10**400, -10**400],
-                         ids=["nan", "inf", "-inf", "10**400", "-10**400"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 10**400, -10**400, np.float32(np.inf), np.float16(np.inf)],
+                         ids=["nan", "inf", "-inf", "10**400", "-10**400", "np.float32(inf)", "np.float16(inf)"])
 @pytest.mark.parametrize("field", ["cycles", "width", "offset", "amplitude", "phase"])
 def test_waveform_rejects_a_non_finite_parameter(field, value):
     # a sine reads no width or offset, and a square wave of infinite cycles
     # discretizes to all -amplitude: each would be silently wrong
     with pytest.raises(ValueError, match=field):
         sg.Waveform("sine", **{field: value})
+
+
+def test_waveform_reads_a_narrow_numpy_float_as_a_float():
+    # a float32 parameter is widened, not compared with float64's max in
+    # float32 (where that max casts to inf), and samples as the float does
+    wave = sg.Waveform("sine", cycles=np.float32(2.0))
+    assert type(wave.cycles) is float and wave == sg.Waveform("sine", cycles=2.0)
+    assert sg.discretize(wave, 4).values.tolist() == sg.discretize(sg.Waveform("sine", cycles=2.0), 4).values.tolist()
 
 
 @pytest.mark.parametrize(
