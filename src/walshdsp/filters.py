@@ -208,7 +208,8 @@ def compare(a, b) -> dict[str, float]:
     l2_rel divides by the norm of b (the reference); if that norm is zero the
     ratio degenerates to 0 when the difference is zero too, else infinity.
     Raw arrays are read as time_series reads them. ValueError on a nan or inf
-    entry, a complex array or one that is not 1-D.
+    entry, a complex array or one that is not 1-D, and on a difference whose
+    l2_abs or linf would pass float64.
     """
     av, bv = _as_coefficients(a).values, _as_coefficients(b).values
     if av.size != bv.size:
@@ -223,5 +224,6 @@ def compare(a, b) -> dict[str, float]:
         l2_rel = 0.0 if l2_diff == 0.0 else float("inf")
     else:
         l2_rel = l2_diff / ref
-    linf = unit * float(np.max(np.abs(diff))) if diff.size else 0.0
-    return {"l2_abs": unit * l2_diff, "l2_rel": l2_rel, "linf": linf}
+    linf = float(np.max(np.abs(diff))) if diff.size else 0.0
+    l2_abs, linf = _from_units(np.array([l2_diff, linf]), unit, "difference").tolist()
+    return {"l2_abs": l2_abs, "l2_rel": l2_rel, "linf": linf}

@@ -25,7 +25,7 @@ simulator's one-qubit H gates. The classical transforms run it on the
 caller's samples with the unitary scale folded in; _scaled_fwht says when
 they sum in peak units instead (a coefficient beyond float64 raises). Both
 orderings are self-inverse, so each is one route: wht_sequency is the
-natural transform, then one gather into the buffer the kernel freed.
+natural transform, then a reorder into the buffer the kernel freed.
 
 The input rule: a read-only array belongs to the caller and is never
 written. The kernel owns the rule: it writes back into its input a only
@@ -42,8 +42,14 @@ more page than they need to. On a 2-core x86-64 VM an aligned H layer took 10-25
 The bits are the same at any offset.
 
 The sequency map (prefix XORs of the index bits, in reversed bit order) and
-its inverse are GF(2)-linear; gf2_index builds both and the gather of the
-simulator's pending CNOT/SWAP map. The oracles, a brute-force zero-crossing
+its inverse are GF(2)-linear, given by the images of the unit indices
+(_sequency_columns). gf2_index builds either as an N-entry array, for
+natural_to_sequency_perm and the oracle, and the gather of the simulator's
+pending CNOT/SWAP map, as the outer XOR of two tables of about sqrt(N)
+entries. wht_sequency builds no N-entry array: _to_sequency reads the
+inverse map's two tables as a row map and a column map, and moves the
+coefficients in slabs of _SLAB_ROWS source rows, so each slab's gathers and
+transposed write stay in cache. The oracles, a brute-force zero-crossing
 count and the dense sequency matrix, refuse bit widths above
 BRUTE_FORCE_BOUND.
 """
@@ -76,6 +82,10 @@ _BLOCK_COLUMNS = 1024
 # glibc's default mmap threshold: a buffer this large gets a mapping of its
 # own, its data 16 bytes past a page boundary; smaller ones come from the heap
 _ALIGN_FLOOR = 128 * 1024
+# source rows per slab of the sequency reorder: at n = 20, 64 rows of 8 KiB
+# (512 KiB) took 4.3-4.5 ms on a 2-core x86-64 VM, 32 rows 5.9 and an
+# N-entry index and np.take 10.7
+_SLAB_ROWS = 64
 
 
 class SizingError(ValueError):
@@ -253,20 +263,27 @@ def zero_crossings_bruteforce(s: int, n: int) -> int:
     return int(np.abs(np.diff(signs)).sum()) // 2
 
 
-def gf2_index(columns) -> np.ndarray:
+def _gf2_span(columns) -> np.ndarray:
     """Entry j is the XOR of the columns picked by the bits of j, j < 2**len(columns)."""
-    def span(cols):
-        # Python ints while the table is short, numpy doublings after
-        table = [0]
-        for col in cols[:6]:
-            table += [entry ^ col for entry in table]
-        table = np.array(table, dtype=np.intp)
-        for col in cols[6:]:
-            table = np.concatenate([table, table ^ col])
-        return table
+    # Python ints while the table is short, numpy doublings after
+    table = [0]
+    for col in columns[:6]:
+        table += [entry ^ col for entry in table]
+    table = np.array(table, dtype=np.intp)
+    for col in columns[6:]:
+        table = np.concatenate([table, table ^ col])
+    return table
 
+
+def gf2_index(columns) -> np.ndarray:
+    """Entry j is the XOR of the columns picked by the bits of j, j < 2**len(columns).
+
+    Built as the outer XOR of the spans of the low len(columns) // 2 columns
+    and of the rest, so no table is longer than about the square root of the
+    index.
+    """
     low = len(columns) // 2
-    return (span(columns[low:])[:, None] ^ span(columns[:low])[None, :]).ravel()
+    return (_gf2_span(columns[low:])[:, None] ^ _gf2_span(columns[:low])[None, :]).ravel()
 
 
 def natural_to_sequency_perm(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -280,12 +297,60 @@ def natural_to_sequency_perm(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _sequency_index(n), _sequency_index(n, inverse=True)
 
 
+def _sequency_columns(n: int, inverse: bool = False) -> list[int]:
+    """The images of the unit indices under the sequency map or its inverse."""
+    if inverse:
+        return [(3 << (n - 1 - j)) & ((1 << n) - 1) for j in range(n)]
+    return [(1 << (n - j)) - 1 for j in range(n)]
+
+
 def _sequency_index(n: int, inverse: bool = False) -> np.ndarray:
     """One of natural_to_sequency_perm's two arrays, for a caller that reads one."""
-    check_bits(n)
-    if inverse:
-        return gf2_index([(3 << (n - 1 - j)) & ((1 << n) - 1) for j in range(n)])
-    return gf2_index([(1 << (n - j)) - 1 for j in range(n)])
+    return gf2_index(_sequency_columns(check_bits(n), inverse))
+
+
+# cached: below n = 16, building the tables took about as long as the moves
+@lru_cache(maxsize=64)
+def _slab_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+    """_to_sequency's tables for n bits: (a, b, (r0, r1)), read-only.
+
+    gf2_index splits the inverse map's columns at low = n // 2, so the
+    source of sequency position g = (g_hi, g_lo) is B[g_hi] ^ A[g_lo], with
+    A the span of the first low columns and B the span of the rest. A lies
+    on the top low bits of a source index and B on the bottom high =
+    n - low, and the two share bit high, which B sets as r_p for g_hi of
+    parity p (r = (0, 1) for n >= 2; (0, 0) for n = 1, whose one column
+    loses that bit to the truncation). In the (2**low, 2**high) view of the
+    source, g's entry sits at row a[g_lo] ^ r_p and column b[g_hi].
+    """
+    columns = _sequency_columns(n, inverse=True)
+    low = n // 2
+    high = n - low
+    spans = _gf2_span(columns[:low]), _gf2_span(columns[low:])
+    a, b = spans[0] >> high, spans[1] & ((1 << high) - 1)
+    return _read_only(a), _read_only(b), (0, int(spans[1][1] >> high))
+
+
+def _to_sequency(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """y's entry for natural row s written at sequency position sequency_of(s, n) of out.
+
+    A permutation in cache-sized slabs, with no N-entry index (Carter &
+    Gatlin's cache-blocked bit reversal, FOCS 1998). y is viewed as
+    (2**low, 2**high) rows and out as a (2**high, 2**low) grid, and
+    out[g_hi, g_lo] = y[a[g_lo] ^ r_p, b[g_hi]] (see _slab_tables). For each
+    parity p and _SLAB_ROWS values of g_lo at a time, one gather of whole
+    rows, one gather of their columns and one transposed write that stays
+    in cache. It moves values and does no arithmetic.
+    """
+    n = y.size.bit_length() - 1
+    a, b, r = _slab_tables(n)
+    rows = y.reshape(a.size, b.size)
+    grid = out.reshape(b.size, a.size)
+    for p in (0, 1):
+        source, columns = a ^ r[p], b[p::2]
+        for i in range(0, a.size, _SLAB_ROWS):
+            grid[p::2, i : i + _SLAB_ROWS] = rows[source[i : i + _SLAB_ROWS]][:, columns].T
+    return out
 
 
 def _empty(like: np.ndarray, size: int | None = None) -> np.ndarray:
@@ -417,18 +482,18 @@ def wht_sequency(v, inverse: bool = False) -> Coefficients:
     """Walsh-Hadamard transform in sequency ordering.
 
     Natural-order fast transform, then place the coefficient of natural row
-    s at sequency position g = sequency_of(s, n). The matrix is symmetric
-    and orthogonal, so it is its own inverse and the same product goes back;
-    inverse is kept for callers that name the direction and changes no bit.
-    The order tag flips between "time" and "sequency".
+    s at sequency position g = sequency_of(s, n): a reorder in cache-sized
+    slabs (_to_sequency) into the buffer the kernel freed, which builds no
+    N-entry index. The matrix is symmetric and orthogonal, so it is its own
+    inverse and the same product goes back; inverse is kept for callers that
+    name the direction and changes no bit. The order tag flips between
+    "time" and "sequency".
     """
     v = _as_coefficients(v)
     if v.order_tag == NATURAL:
         raise ValueError("natural-tagged input; use fwht_natural to go back")
-    n = bit_width(len(v))
-    out, free = _scaled_fwht(v.values)
-    # into the buffer the kernel freed; mode="raise" would buffer the take
-    out = np.take(out, _sequency_index(n, inverse=True), out=free, mode="clip")
+    bit_width(len(v))
+    out = _to_sequency(*_scaled_fwht(v.values))
     tag = SEQUENCY if v.order_tag == TIME else TIME
     return Coefficients(out, tag)
 

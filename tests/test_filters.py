@@ -503,3 +503,14 @@ def test_compare_metrics():
         flt.compare([1.0], [1.0, 2.0])
     with pytest.raises(ValueError, match="1-D"):
         flt.compare(np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+def test_compare_refuses_a_difference_beyond_float64():
+    # finite inputs whose difference passes float64 used to read as inf
+    with pytest.raises(ValueError, match="difference is beyond float64"):
+        flt.compare([1.7e308, -1.7e308], [-1.7e308, 1.7e308])
+    # linf fits, l2_abs does not
+    with pytest.raises(ValueError, match="difference is beyond float64"):
+        flt.compare([1.5e308, 1.5e308], [0.0, 0.0])
+    edge = flt.compare([1.7e308, 0.0], [0.0, 0.0])
+    assert edge == {"l2_abs": 1.7e308, "l2_rel": float("inf"), "linf": 1.7e308}

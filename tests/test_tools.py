@@ -1,14 +1,26 @@
-"""The repository's own tools: tools/code_lines.py's counting rule."""
+"""The repository's own tools: tools/code_lines.py's counting rule, and
+tools/bench_pairs.py's alternation and record against a stub benchmark."""
 
 import importlib.util
+import json
+import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-_SPEC = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
-code_lines = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(code_lines)
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = _load("code_lines")
+bench_pairs = _load("bench_pairs")
 
 # the lines marked 'code' count, and so do the two lines of the string
 # that is not a docstring, which cannot carry the mark
@@ -64,3 +76,83 @@ def test_code_lines_prints_each_file_and_the_total(tmp_path):
     assert proc.stdout.splitlines() == [
         f"{count:6d}  {tmp_path / 'a.py'}", f"{4:6d}  {tmp_path / 'sub' / 'b.py'}", f"{count + 4:6d}  total",
     ]
+
+
+# a stand-in for perfbench/run.py: logs its tree and seed, and reports
+# call_s as its tree's FACTOR times the seed
+STUB_RUN = """
+import argparse, json, os, pathlib
+p = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    p.add_argument(flag)
+a = p.parse_args()
+tree = pathlib.Path.cwd()
+assert not (tree / ".git").exists() and not (tree / "perfbench" / ".work").exists()
+with open(os.environ["STUB_LOG"], "a") as log:
+    log.write(f"{tree.name} {a.seed} {a.workload} {a.seconds} {a.trace} {(tree / 'NEW').exists()}\\n")
+factor = float((tree / "FACTOR").read_text())
+metrics = {"call_s": {"value": factor * int(a.seed), "unit": "s"},
+           "samples_per_s": {"value": 100.0 / factor, "unit": "samples/s"}}
+print("a line above the result")
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}))
+"""
+STUB_BENCHMARK = {
+    "command": [sys.executable, "perfbench/run.py"], "paths": ["perfbench"], "run_seconds": 0.5,
+    "end_to_end": [{"name": "call_s", "unit": "s", "better": "lower", "bound": 0.25},
+                   {"name": "samples_per_s", "unit": "samples/s", "better": "higher", "bound": 0.25}],
+}
+
+
+def test_bench_pairs_alternates_the_sides_and_records_each_run(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text(STUB_RUN)
+    (repo / "BENCHMARK.json").write_text(json.dumps(STUB_BENCHMARK))
+    (repo / "FACTOR").write_text("2.0")
+    (repo / ".gitignore").write_text("/perfbench/.work/\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(repo)]
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "parent"], check=True)
+    # the change: an edited file, an untracked one, and an ignored one it must not copy
+    (repo / "FACTOR").write_text("1.0")
+    (repo / "NEW").write_text("")
+    (repo / "perfbench" / ".work").mkdir()
+    log, out = tmp_path / "log.txt", tmp_path / "BENCH_stub.json"
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "bench_pairs.py"), "--parent", "HEAD",
+                           "--workload", "w", "--pairs", "4", "--twin", "--seed", "10",
+                           "--out", str(out)],
+                          cwd=repo, env={**os.environ, "STUB_LOG": str(log)}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+    rounds = [["parent", "change", "twin"], ["change", "twin", "parent"],
+              ["twin", "parent", "change"], ["parent", "change", "twin"]]
+    want = [f"{side} {10 + r} w 0.5 0 {side == 'change'}" for r, order in enumerate(rounds) for side in order]
+    assert log.read_text().splitlines() == want
+
+    record = json.loads(out.read_text())
+    assert record["workload"] == "w" and record["pairs"] == 4 and record["seconds"] == 0.5
+    assert record["sides"] == ["parent", "change", "twin"] and record["change"]["dirty"]
+    assert record["parent"]["rev"] == "HEAD" and len(record["parent"]["commit"]) == 40
+    assert set(record["machine"]) == {"cpus", "python", "numpy", "platform"}
+    assert record["machine"]["python"] == platform.python_version()
+    assert [(run["round"], run["seed"], run["side"]) for run in record["runs"]] == [
+        (r, 10 + r, side) for r, order in enumerate(rounds) for side in order]
+    assert all(run["correct"] and run["failed"] == 0 and run["ru_maxrss_kb"] > 0 for run in record["runs"])
+    assert set(record["metrics"]) == {"call_s", "samples_per_s", "ru_minflt", "ru_maxrss_kb"}
+
+    call = record["metrics"]["call_s"]
+    assert (call["unit"], call["better"], call["bound"]) == ("s", "lower", 0.25)
+    assert call["parent"] == {"runs": [20.0, 22.0, 24.0, 26.0], "median": 23.0, "q1": 21.5, "q3": 24.5}
+    assert call["twin"]["runs"] == call["parent"]["runs"]
+    assert call["change"]["median"] == 11.5
+    assert call["change_vs_parent"] == {"median": -0.5, "pairs_won": 4, "pairs": 4}
+    assert call["twin_vs_parent"] == {"median": 0.0, "pairs_won": 0, "pairs": 4}
+    rate = record["metrics"]["samples_per_s"]
+    assert rate["change_vs_parent"] == {"median": 1.0, "pairs_won": 4, "pairs": 4}
+    assert record["metrics"]["ru_maxrss_kb"]["bound"] is None
+
+
+def test_bench_pairs_without_a_twin_alternates_two_sides():
+    assert [bench_pairs.rotation(r, ("parent", "change")) for r in range(3)] == [
+        ["parent", "change"], ["change", "parent"], ["parent", "change"]]

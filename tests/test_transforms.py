@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import mmap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -432,6 +433,57 @@ def test_wht_sequency_round_trip_property(vals):
     v = np.asarray(vals)
     twice = tr.wht_sequency(tr.wht_sequency(tr.time_series(v)))
     assert_allclose(twice.values, v, atol=1e-9 * max(1.0, np.abs(v).max()))
+
+
+def sequency_read(x, n):
+    """fwht_natural(x) read through the inverse sequency index: what wht_sequency must return."""
+    return tr.fwht_natural(x).values[tr._sequency_index(n, inverse=True)]
+
+
+def wht_sequency_both_ways(x):
+    """wht_sequency forward on time samples and back on sequency coefficients."""
+    return tr.wht_sequency(x).values, tr.wht_sequency(tr.Coefficients(x, tr.SEQUENCY), inverse=True).values
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 14), st.integers(0, 2**32 - 1), st.sampled_from([1e-300, 1e-5, 1.0, 1e300]))
+def test_wht_sequency_is_the_natural_transform_read_through_the_index(n, seed, scale):
+    # the slab reorder moves values, so the bits match the N-entry gather's
+    x = np.random.default_rng(seed).standard_normal(1 << n) * scale
+    x[::5] = 0.0
+    want = sequency_read(x, n).view(np.uint64)
+    for got in wht_sequency_both_ways(x):
+        assert np.array_equal(got.view(np.uint64), want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 18, 19, 20, 21])
+def test_wht_sequency_fixed_sizes_match_the_gather_and_leave_the_input(n):
+    x = np.random.default_rng(n).standard_normal(1 << n)
+    before = x.copy()
+    natural = tr.fwht_natural(x).values
+    want = natural[tr.natural_to_sequency_perm(n)[1]]
+    if n <= 2:
+        # the slow oracle: natural row s sits at sequency position sequency_of(s, n)
+        assert [want[tr.sequency_of(s, n)] for s in range(1 << n)] == natural.tolist()
+    for got in wht_sequency_both_ways(x):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert not np.shares_memory(got, x)
+    assert x.flags.writeable and np.array_equal(x.view(np.uint64), before.view(np.uint64))
+
+
+@pytest.mark.parametrize("n, bound", [(16, 2.6), (20, 2.2)])
+def test_wht_sequency_peak_memory_builds_no_index(n, bound):
+    # the natural transform's two buffers and a slab's two gathers; an
+    # N-entry int64 index alone would add one input
+    x = np.random.default_rng(n).standard_normal(1 << n)
+    tr.wht_sequency(x)
+    tracemalloc.start()
+    try:
+        tr.wht_sequency(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * x.nbytes
 
 
 def unscaled_butterfly_oracle(values):
