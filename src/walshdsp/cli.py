@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 runtime
 error (missing files, malformed CSV, nan or inf samples, lengths that are
 not a power of two or are 1, cutoffs that do not resolve to an integer, a
-transform result beyond float64, a bit width below 1 in gates --n or
---sweep, sequency-map --n or verify --n-max, all with the one message of
-transforms.check_bits, and sequency-map --n above 20).
+transform result or a filter branch beyond float64, a bit width below 1 in
+gates --n or --sweep, sequency-map --n or verify --n-max, all with the one
+message of transforms.check_bits, and sequency-map --n above 20).
 
 Cutoffs and band edges accept plain integers or expressions in the loaded
 length: ``N``, ``N/4``, ``3N/4``. Expressions must resolve exactly; ``N/3``
@@ -31,10 +31,19 @@ _PLAIN_CIRCUITS = {
     "uz": circuits.build_uz,
     "uz-inverse": circuits.build_uz_inverse,
 }
-# the spectra the spectrum subcommand writes, in this order for --which both
+
+
+def _dft_magnitudes(v: transforms.Coefficients) -> np.ndarray:
+    # |X| can pass float64 where X's parts do not (|1+1j| * 1.6e308), so the
+    # magnitudes are taken in peak units and leave them through _from_units
+    unit, (scaled,) = transforms.peak_units(v.values)
+    return transforms._from_units(np.abs(transforms.dft_spectrum(scaled)), unit)
+
+
+# the magnitudes the spectrum subcommand writes, in this order for --which both
 _SPECTRA = {
-    "sequency": lambda v: transforms.wht_sequency(v).values,
-    "frequency": transforms.dft_spectrum,
+    "sequency": lambda v: np.abs(transforms.wht_sequency(v).values),
+    "frequency": _dft_magnitudes,
 }
 # sequency-map prints 2**n lines, so its output is capped at n = 20 (about 15 MB)
 _MAP_MAX_BITS = 20
@@ -176,6 +185,19 @@ def _json_metrics(metrics: dict[str, float]) -> dict[str, float | None]:
     return {name: value if math.isfinite(value) else None for name, value in metrics.items()}
 
 
+def _reconstruction(first, second, signal) -> dict[str, float]:
+    """compare(first + second, signal), the sum taken in the common peak units
+    of all three: two finite branches can sum past float64 where the signal
+    does not."""
+    unit, (first, second, signal) = transforms.peak_units(first.values, second.values, signal.values)
+    # in place: the scaled copies are this function's own
+    first += second
+    metrics = filters.compare(first, signal)
+    l2_abs, linf = transforms._from_units(np.array([metrics["l2_abs"], metrics["linf"]]), unit,
+                                          "reconstruction error").tolist()
+    return {**metrics, "l2_abs": l2_abs, "linf": linf}
+
+
 def _cmd_filter(args: argparse.Namespace) -> int:
     signal = signals.load_csv(args.input)
     spec = _filter_spec(args, len(signal))
@@ -186,8 +208,6 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     stats = circuits.gate_stats(circuit)
 
     leading_x = bool(circuit.gates) and circuit.gates[0].kind == "X"
-    recon = transforms.time_series(result.pass_branch.values + result.stop_branch.values)
-    oracle_recon = transforms.time_series(oracle_pass.values + oracle_stop.values)
     meta = {
         **asdict(spec),
         "n_samples": len(signal),
@@ -205,8 +225,8 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         "errors": {
             "quantum_vs_oracle_pass": _json_metrics(filters.compare(result.pass_branch, oracle_pass)),
             "quantum_vs_oracle_stop": _json_metrics(filters.compare(result.stop_branch, oracle_stop)),
-            "quantum_reconstruction": _json_metrics(filters.compare(recon, signal)),
-            "oracle_reconstruction": _json_metrics(filters.compare(oracle_recon, signal)),
+            "quantum_reconstruction": _json_metrics(_reconstruction(result.pass_branch, result.stop_branch, signal)),
+            "oracle_reconstruction": _json_metrics(_reconstruction(oracle_pass, oracle_stop, signal)),
         },
     }
     # strict JSON, made before any file is written
@@ -233,7 +253,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     written = []
     for which in _SPECTRA if args.which == "both" else (args.which,):
         path = _suffixed(args.output, which) if args.which == "both" else args.output
-        signals.save_csv(path, np.abs(_SPECTRA[which](v)), with_index=True)
+        signals.save_csv(path, _SPECTRA[which](v), with_index=True)
         written.append(path)
     print("wrote " + ", ".join(written))
     return 0

@@ -20,6 +20,7 @@ from __future__ import annotations
 __all__ = ["FilterResult", "FilterSpec", "compare", "dc_remove_oracle", "filter_classical_oracle",
            "filter_quantum"]
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,7 +135,8 @@ class FilterResult:
 
     p_pass and p_stop are the ancilla outcome probabilities (they sum to 1);
     scale is the amplitude-encoding norm used to restore units; circuit is
-    the filter circuit that was simulated.
+    the filter circuit that was simulated. Both branches are finite:
+    filter_quantum raises ValueError for a filter branch beyond float64.
     """
 
     pass_branch: Coefficients
@@ -153,7 +155,13 @@ def _pass_mask(spec: FilterSpec, size: int) -> np.ndarray:
 
 
 def filter_quantum(signal, spec: FilterSpec, *, swapped: bool = False) -> FilterResult:
-    """Run the filter circuit on the encoded signal and split on the ancilla."""
+    """Run the filter circuit on the encoded signal and split on the ancilla.
+
+    ValueError for a signal amplitude_encode refuses, a spec the signal's
+    length does not admit, and a filter branch beyond float64: a branch is
+    its amplitudes times the signal's norm, and the circuit's rounding can
+    lift an entry past float64 where a sample is near it.
+    """
     encoded, scale = simulator.amplitude_encode(signal)
     circuit = circuits.build_filter_circuit(encoded.n_qubits, spec, swapped=swapped)
     # the ancilla on top starts in |0>, as run_circuit reads the n-qubit state
@@ -163,8 +171,8 @@ def filter_quantum(signal, spec: FilterSpec, *, swapped: bool = False) -> Filter
     halves = final.amplitudes.reshape(2, -1)
     pass_half, stop_half = halves[::-1] if swapped else halves
     return FilterResult(
-        Coefficients(pass_half * scale, TIME),
-        Coefficients(stop_half * scale, TIME),
+        Coefficients(_from_units(pass_half, scale, "filter branch"), TIME),
+        Coefficients(_from_units(stop_half, scale, "filter branch"), TIME),
         float(np.vdot(pass_half, pass_half).real),
         float(np.vdot(stop_half, stop_half).real),
         scale,
@@ -208,22 +216,42 @@ def compare(a, b) -> dict[str, float]:
     l2_rel divides by the norm of b (the reference); if that norm is zero the
     ratio degenerates to 0 when the difference is zero too, else infinity.
     Raw arrays are read as time_series reads them. ValueError on a nan or inf
-    entry, a complex array or one that is not 1-D, and on a difference whose
-    l2_abs or linf would pass float64.
+    entry, a complex array or one that is not 1-D, on a difference whose
+    l2_abs or linf would pass float64, and on an l2_rel that would.
     """
     av, bv = _as_coefficients(a).values, _as_coefficients(b).values
     if av.size != bv.size:
         raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
-    # measured in peak units, so that the norms of huge or tiny signals
-    # neither overflow nor underflow
-    unit, (av, bv) = peak_units(av, bv)
-    diff = av - bv
-    l2_diff = float(np.linalg.norm(diff))
-    ref = float(np.linalg.norm(bv))
-    if ref == 0.0:
+    # the difference in the two vectors' common peak units, where it cannot
+    # overflow (taken in place: both copies are compare's own); then it and
+    # b each in their own, where no square underflows
+    unit, (diff, scaled_b) = peak_units(av, bv)
+    diff -= scaled_b
+    diff_unit, (diff,) = peak_units(diff)
+    ref_unit, (ref,) = peak_units(bv)
+    l2_diff, l2_ref = float(np.linalg.norm(diff)), float(np.linalg.norm(ref))
+    linf = float(np.abs(diff, out=diff).max(initial=0.0))
+    # the difference's unit is unit * diff_unit, which float64 may not hold
+    exponent = _log2(unit) + _log2(diff_unit)
+    l2_abs, linf = _times_power(np.array([l2_diff, linf]), exponent, "difference").tolist()
+    if l2_ref == 0.0:
         l2_rel = 0.0 if l2_diff == 0.0 else float("inf")
     else:
-        l2_rel = l2_diff / ref
-    linf = float(np.max(np.abs(diff))) if diff.size else 0.0
-    l2_abs, linf = _from_units(np.array([l2_diff, linf]), unit, "difference").tolist()
+        l2_rel = float(_times_power(np.array(l2_diff / l2_ref), exponent - _log2(ref_unit), "relative difference"))
     return {"l2_abs": l2_abs, "l2_rel": l2_rel, "linf": linf}
+
+
+def _log2(unit: float) -> int:
+    """The exponent of a power-of-two unit from peak_units."""
+    return math.frexp(unit)[1] - 1
+
+
+def _times_power(values: np.ndarray, exponent: int, what: str) -> np.ndarray:
+    """values times 2**exponent, through _from_units in two steps, as 2**exponent
+    may be beyond float64's range.
+
+    For values in compare's range (about 2**-20 to 2**20) the first step
+    stays normal and exact, so the result is rounded once.
+    """
+    half = exponent // 2
+    return _from_units(_from_units(values, math.ldexp(1.0, half), what), math.ldexp(1.0, exponent - half), what)

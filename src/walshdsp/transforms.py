@@ -19,6 +19,11 @@ one rule for register quantities (ints and numpy integers only). Samples
 are real and finite: a complex array, nan or inf is a ValueError. Norms
 are taken in peak units (peak_units), exactly and without overflow.
 
+The exit rule: a result leaves peak units, or the amplitude-encoding norm,
+only through _from_units, which multiplies it back into a new array and
+turns the multiply's overflow into a ValueError naming the result. So a
+finite input never comes back as inf.
+
 _hadamard_layer is the package's one H kernel, shared with the simulator
 and checked against the dense sequency matrix and a fold of the
 simulator's one-qubit H gates. The classical transforms run it on the
@@ -197,13 +202,19 @@ def peak_units(*arrays: np.ndarray) -> tuple[float, list[np.ndarray]]:
     return unit, [a / unit for a in arrays]
 
 
-def _from_units(out: np.ndarray, unit: float, what: str = "transform result") -> np.ndarray:
-    """Multiply a real result summed in peak units back by unit, in place;
-    ValueError, naming what, if an entry would pass float64."""
-    if not math.isfinite(max(float(out.max()), -float(out.min())) * unit):
-        raise ValueError(f"{what} is beyond float64")
-    out *= unit
-    return out
+def _from_units(values: np.ndarray, unit: float, what: str = "transform result") -> np.ndarray:
+    """values * unit as a new array, real or complex: the package's one exit
+    from peak units and from the encoding norm.
+
+    ValueError, naming what, if an entry (or a part of one) would pass
+    float64: the multiply's own overflow flag says so, so the check makes no
+    pass of its own.
+    """
+    with np.errstate(over="raise"):
+        try:
+            return values * unit
+        except FloatingPointError:
+            raise ValueError(f"{what} is beyond float64") from None
 
 
 def _check_row(s: int, n: int) -> None:
@@ -443,10 +454,10 @@ def _scaled_fwht(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (page-aligned when large), and folds 2**(-n/2) into its last block for
     even n; odd n keeps one multiply by 1/sqrt(N). Other peaks go through
     peak_units (which rejects nan and inf), are summed in its units on the
-    divided copy, which the kernel may overwrite, checked against float64
-    and multiplied back. Where every sample is 0 or at least
-    2**-900 * max(1, unit) the two give the same bits, as power-of-two
-    scaling commutes with normal-range rounding; the underflow of smaller
+    divided copy, which the kernel may overwrite, and leave them through
+    _from_units (a coefficient beyond float64 raises). Where every sample
+    is 0 or at least 2**-900 * max(1, unit) the two give the same bits, as
+    power-of-two scaling commutes with normal-range rounding; the underflow of smaller
     ones (the divided copy's too) moves a coefficient by at most
     (n + 1) * sqrt(N) * max(1, unit) * 2**-1073 to first order.
     """
@@ -459,7 +470,7 @@ def _scaled_fwht(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not fold:
         out *= 1.0 / np.sqrt(out.size)
     if unit is not None:
-        _from_units(out, unit)
+        out = _from_units(out, unit)
     return out, free
 
 
@@ -525,12 +536,8 @@ def dft_spectrum(v) -> np.ndarray:
     identical constant. This is the only complex-valued surface in the
     package; it exists to emit frequency-spectrum plot data next to sequency
     spectra. Summed in peak units; ValueError on a nan or inf sample and on
-    a coefficient beyond float64.
+    a coefficient whose real or imaginary part is beyond float64.
     """
     v, _ = time_signal(v)
     unit, (scaled,) = peak_units(v.values)
-    out = np.fft.fft(scaled, norm="ortho")
-    if not math.isfinite(float(np.abs(out).max()) * unit):
-        raise ValueError("transform result is beyond float64")
-    out *= unit
-    return out
+    return _from_units(np.fft.fft(scaled, norm="ortho"), unit)

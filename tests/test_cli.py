@@ -512,3 +512,35 @@ def test_cutoff_grammar(text, size, expected):
 
 def test_cutoff_literal_ignores_size():
     assert CutoffExpr(literal=5).resolve(1024) == 5
+
+
+def test_filter_whose_branches_sum_past_float64_exits_0(tmp_path, capsys):
+    # both paths split the sample into two halves of about -8.99e307; their
+    # sum in float64 units overflowed, and the run exited 3 with
+    # "non-finite samples"
+    src = tmp_path / "edge.csv"
+    src.write_text("-1.7976931348623157e308\n0\n")
+    prefix = tmp_path / "out"
+    assert main(["filter", "--kind", "band", "--band", "1:2", "--input", str(src), "--output-prefix", str(prefix)]) == 0
+    meta = _read_meta(tmp_path / "out.meta.json")
+    for name in ("quantum_reconstruction", "oracle_reconstruction"):
+        errors = meta["errors"][name]
+        assert all(np.isfinite(list(errors.values()))) and errors["l2_rel"] < 4 * EPS
+    for branch in ("pass", "stop"):
+        assert np.isfinite(_read_values(tmp_path / f"out.{branch}.csv")).all()
+
+
+@pytest.mark.parametrize("argv,lines,message", [
+    # the pass amplitude rounds just above 1, times the largest float64
+    (["filter", "--kind", "low", "--cutoff", "N", "--output-prefix"],
+     ["1.7976931348623157e308"] + ["0"] * 7, "filter branch is beyond float64"),
+    # coefficient 1 is (1 + 1j) * 1.6e308: each part fits, its magnitude does not
+    (["spectrum", "--which", "frequency", "--output"],
+     ["1.6e308", "-1.6e308", "-1.6e308", "1.6e308"], "transform result is beyond float64"),
+], ids=["filter-branch", "spectrum-magnitude"])
+def test_result_beyond_float64_exits_3_without_outputs(tmp_path, capsys, argv, lines, message):
+    src = tmp_path / "edge.csv"
+    src.write_text("\n".join(lines) + "\n")
+    assert main([*argv, str(tmp_path / "out"), "--input", str(src)]) == 3
+    assert f"error: {message}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edge.csv"]

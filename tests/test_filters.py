@@ -514,3 +514,56 @@ def test_compare_refuses_a_difference_beyond_float64():
         flt.compare([1.5e308, 1.5e308], [0.0, 0.0])
     edge = flt.compare([1.7e308, 0.0], [0.0, 0.0])
     assert edge == {"l2_abs": 1.7e308, "l2_rel": float("inf"), "linf": 1.7e308}
+
+
+EPS = np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("a,b,l2_abs,l2_rel,linf", [
+    # the difference's square underflowed in the two vectors' common unit: 0
+    ([1.0, 1e-200], [1.0, 0.0], 1e-200, 1e-200, 1e-200),
+    # the reference's square underflowed to 0, so l2_rel read inf
+    ([1.0, 1.0], [2.2250738585072014e-308, 0.0], np.sqrt(2.0), np.sqrt(2.0) / 2.2250738585072014e-308, 1.0),
+    # the difference's square was subnormal: relative error 5.6e-6
+    ([1.0, 3e-160], [1.0, 1e-160], 3e-160 - 1e-160, 3e-160 - 1e-160, 3e-160 - 1e-160),
+], ids=["tiny-difference", "tiny-reference", "subnormal-square"])
+def test_compare_takes_each_norm_in_its_own_peak_units(a, b, l2_abs, l2_rel, linf):
+    got = flt.compare(a, b)
+    assert got == pytest.approx({"l2_abs": l2_abs, "l2_rel": l2_rel, "linf": linf}, rel=4 * EPS, abs=0.0)
+
+
+def test_compare_refuses_a_relative_difference_beyond_float64():
+    # 1 / 2**-1074: the two units' ratio, 2**1074, is itself beyond float64
+    with pytest.raises(ValueError, match="relative difference is beyond float64"):
+        flt.compare([1.0, 0.0], [5e-324, 0.0])
+    # units 2 and 2**-1024, whose ratio is beyond float64, but l2_rel is not
+    b = np.full(4, 1.99 * 2.0 ** -1024)
+    a = b.copy()
+    a[0] = 2.0
+    want = 2.0 / float(np.linalg.norm(b * 2.0 ** 1000)) * 2.0 ** 1000
+    assert flt.compare(a, b)["l2_rel"] == pytest.approx(want, rel=4 * EPS) and want > 2.0 ** 1023
+
+
+def test_compare_reads_a_difference_of_signed_zeros_as_plus_zero():
+    for a, b in (([-0.0, -0.0], [0.0, 0.0]), ([0.0, -0.0], [-0.0, 0.0]), ([], [])):
+        metrics = flt.compare(a, b)
+        assert metrics == {"l2_abs": 0.0, "l2_rel": 0.0, "linf": 0.0}
+        assert all(np.copysign(1.0, value) == 1.0 for value in metrics.values())
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_filter_quantum_refuses_a_branch_beyond_float64(n):
+    # the signal's norm is float64's largest value, and the circuit's
+    # rounding lifts its one pass amplitude just above 1: the branch
+    # used to start with inf, with only a RuntimeWarning
+    signal = np.zeros(1 << n)
+    signal[0] = np.finfo(np.float64).max
+    with pytest.raises(ValueError, match="filter branch is beyond float64"):
+        flt.filter_quantum(signal, flt.FilterSpec.low_pass(1 << n))
+
+
+def test_filter_quantum_branches_are_separate_arrays():
+    for swapped in (False, True):
+        result = flt.filter_quantum(RNG.standard_normal(16), flt.FilterSpec.low_pass(4), swapped=swapped)
+        assert not np.shares_memory(result.pass_branch.values, result.stop_branch.values)
+        assert result.pass_branch.values.flags.owndata and result.stop_branch.values.flags.owndata

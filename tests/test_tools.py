@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -21,6 +23,7 @@ def _load(name):
 
 code_lines = _load("code_lines")
 bench_pairs = _load("bench_pairs")
+CHILD_METRICS = bench_pairs.CHILD_METRICS
 
 # the lines marked 'code' count, and so do the two lines of the string
 # that is not a docstring, which cannot carry the mark
@@ -146,13 +149,55 @@ def test_bench_pairs_alternates_the_sides_and_records_each_run(tmp_path):
     assert call["parent"] == {"runs": [20.0, 22.0, 24.0, 26.0], "median": 23.0, "q1": 21.5, "q3": 24.5}
     assert call["twin"]["runs"] == call["parent"]["runs"]
     assert call["change"]["median"] == 11.5
-    assert call["change_vs_parent"] == {"median": -0.5, "pairs_won": 4, "pairs": 4}
-    assert call["twin_vs_parent"] == {"median": 0.0, "pairs_won": 0, "pairs": 4}
+    assert call["change_vs_parent"] == {"median": -0.5, "pairs_won": 4, "pairs": 4, "verdict": "gain"}
+    assert call["twin_vs_parent"] == {"median": 0.0, "pairs_won": 0, "pairs": 4, "verdict": "within bound"}
     rate = record["metrics"]["samples_per_s"]
-    assert rate["change_vs_parent"] == {"median": 1.0, "pairs_won": 4, "pairs": 4}
+    assert rate["change_vs_parent"] == {"median": 1.0, "pairs_won": 4, "pairs": 4, "verdict": "gain"}
+    assert rate["twin_vs_parent"]["verdict"] == "within bound"
     assert record["metrics"]["ru_maxrss_kb"]["bound"] is None
+    for name in CHILD_METRICS:
+        assert {record["metrics"][name][f"{side}_vs_parent"]["verdict"] for side in ("change", "twin")} <= {
+            "gain", "no bound"}
+    printed = {line.split()[0]: line for line in proc.stdout.splitlines()}
+    assert "(4/4 won, gain)" in printed["call_s"] and "(0/4 won, within bound)" in printed["call_s"]
 
 
 def test_bench_pairs_without_a_twin_alternates_two_sides():
     assert [bench_pairs.rotation(r, ("parent", "change")) for r in range(3)] == [
         ["parent", "change"], ["change", "parent"], ["parent", "change"]]
+
+
+def _spread(runs):
+    return bench_pairs.spread(runs)
+
+
+# parent call_s: median 100, quartiles 98.25 and 101.75
+PARENT = _spread([96.0, 98.0, 99.0, 100.0, 100.0, 101.0, 102.0, 103.0, 104.0, 95.0])
+
+
+@pytest.mark.parametrize("side,won,bound,want", [
+    # 10/10 won, median 10 below against a 3.5 interquartile distance
+    ([90.0] * 10, 10, 0.25, "gain"),
+    # 9/10 is enough; 8/10 is not, and then the 10 % is within the bound
+    ([90.0] * 10, 9, 0.25, "gain"),
+    ([90.0] * 10, 8, 0.25, "within bound"),
+    # every pair won, but the medians are closer than the parent's spread
+    ([98.0] * 10, 10, 0.25, "within bound"),
+    ([140.0] * 10, 0, 0.25, "worse than bound"),
+    # the parent's relative spread (3.5 %) exceeds a 2 % bound
+    ([101.0] * 10, 3, 0.02, "unresolved"),
+    ([94.0] * 10, 10, 0.02, "gain"),
+    # unless every run of the side beats every parent run
+    ([94.5] * 10, 8, 0.02, "within bound"),
+    ([90.0] * 10, 10, None, "gain"),
+    ([101.0] * 10, 3, None, "no bound"),
+])
+def test_bench_pairs_verdict_follows_the_simplicity_rule(side, won, bound, want):
+    assert bench_pairs.verdict(_spread(side), PARENT, won, 10, "lower", bound) == want
+
+
+def test_bench_pairs_verdict_reads_higher_is_better():
+    rate = _spread([float(v) for v in range(100, 110)])
+    assert bench_pairs.verdict(_spread([120.0] * 10), rate, 10, 10, "higher", 0.25) == "gain"
+    assert bench_pairs.verdict(_spread([80.0] * 10), rate, 0, 10, "higher", 0.1) == "worse than bound"
+    assert bench_pairs.verdict(_spread([]), rate, 0, 0, "higher", 0.1) == "no runs"

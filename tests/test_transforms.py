@@ -938,3 +938,27 @@ def test_coefficients_rejects_bad_tag_and_shape():
         tr.Coefficients(np.arange(4.0), "spectral")
     with pytest.raises(ValueError):
         tr.Coefficients(np.zeros((2, 2)), tr.TIME)
+
+
+def test_from_units_is_the_one_exit_and_refuses_an_entry_beyond_float64():
+    for values in (np.array([1.5, -0.25]), np.array([1.5 - 0.5j, 0.25j])):
+        before = values.copy()
+        out = tr._from_units(values, 2.0 ** 1023)
+        assert np.array_equal(out, before * 2.0 ** 1023) and not np.shares_memory(out, values)
+        assert np.array_equal(values, before)
+    # a real part, an imaginary part, and a real entry past float64
+    for values in (np.array([2.5 + 0j, 0.5j]), np.array([0.5 + 2.5j]), np.array([0.0, -2.5])):
+        with pytest.raises(ValueError, match="^spectrum is beyond float64$"):
+            tr._from_units(values, 2.0 ** 1023, "spectrum")
+    # underflow is rounding, not an error
+    assert tr._from_units(np.array([1.5]), 2.0 ** -1074).tolist() == [1e-323]
+
+
+def test_dft_spectrum_refuses_a_part_beyond_float64():
+    # 16 samples of 1e308: coefficient 0 is 4e308
+    with pytest.raises(ValueError, match="^transform result is beyond float64$"):
+        tr.dft_spectrum(np.full(16, 1e308))
+    # coefficient 1 is (1 + 1j) * 1.6e308, each part finite: returned, and
+    # the spectrum subcommand refuses its magnitude
+    rotating = np.array([1.6e308, -1.6e308, -1.6e308, 1.6e308])
+    assert tr.dft_spectrum(rotating)[1] == 1.6e308 + 1.6e308j

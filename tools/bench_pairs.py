@@ -17,7 +17,8 @@ twin; then change, twin, parent; ...), so with two sides they alternate.
 The JSON written to --out holds every run, and per metric and side every
 value, the median and quartiles; then the pairs the change won against the
 parent in the same round, its median against the parent's, the twin's
-reading, and the bound from BENCHMARK.json. Next to the end-to-end metrics
+reading, the bound from BENCHMARK.json, and the verdict (see verdict()) for
+the change and the twin. Next to the end-to-end metrics
 it records each run's ru_minflt and ru_maxrss as wait4(2) reports them for
 the child, and the machine: CPU count, the Python and numpy versions of the
 interpreter the command starts, load average before and after. Exits 1 if a run failed or returned no result.
@@ -102,6 +103,34 @@ def relative(value, base):
     return None if value is None or not base else value / base - 1.0
 
 
+def verdict(side: dict, parent: dict, won: int, pairs: int, better: str, bound: float | None) -> str:
+    """The simplicity guide's reading of one side against the parent, from their spreads.
+
+    gain: the side won at least 9/10 of the pairs (a tie wins neither) and
+    its median is better than the parent's by more than the parent's
+    interquartile distance. With no bound (the child rusage figures) anything
+    else is "no bound". worse than bound: its median is worse than the
+    parent's by more than the bound. unresolved: the parent's interquartile
+    distance, relative to its median, exceeds the bound, and not every run of
+    the side beats every parent run. within bound: anything else. no runs
+    where either side has none.
+    """
+    if side["median"] is None or not parent["median"]:
+        return "no runs"
+    sign = 1.0 if better == "lower" else -1.0
+    gained = sign * (parent["median"] - side["median"])
+    if pairs and 10 * won >= 9 * pairs and gained > parent["q3"] - parent["q1"]:
+        return "gain"
+    if bound is None:
+        return "no bound"
+    if -gained / abs(parent["median"]) > bound:
+        return "worse than bound"
+    beats_all = max(sign * v for v in side["runs"]) < min(sign * v for v in parent["runs"])
+    if (parent["q3"] - parent["q1"]) / abs(parent["median"]) > bound and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(runs: list[dict], sides: tuple[str, ...], metrics: dict) -> dict:
     """Per metric: each side's spread, the change's and the twin's pairs won and median change."""
     table = {}
@@ -119,7 +148,9 @@ def summarize(runs: list[dict], sides: tuple[str, ...], metrics: dict) -> dict:
             paired = [r for r in by_round.values() if side in r and "parent" in r]
             won = sum((r[side] < r["parent"]) if better == "lower" else (r[side] > r["parent"]) for r in paired)
             entry[f"{side}_vs_parent"] = {"median": relative(entry[side]["median"], entry["parent"]["median"]),
-                                          "pairs_won": won, "pairs": len(paired)}
+                                          "pairs_won": won, "pairs": len(paired),
+                                          "verdict": verdict(entry[side], entry["parent"], won, len(paired),
+                                                             better, bound)}
         table[name] = entry
     return table
 
@@ -182,7 +213,8 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for name, entry in record["metrics"].items():
         changes = "  ".join(f"{side} {entry[f'{side}_vs_parent']['median']:+.2%} "
-                            f"({entry[f'{side}_vs_parent']['pairs_won']}/{entry[f'{side}_vs_parent']['pairs']} won)"
+                            f"({entry[f'{side}_vs_parent']['pairs_won']}/{entry[f'{side}_vs_parent']['pairs']} won, "
+                            f"{entry[f'{side}_vs_parent']['verdict']})"
                             for side in sides[1:] if entry[f"{side}_vs_parent"]["median"] is not None)
         print(f"{name:>14}  parent median {entry['parent']['median']}  {changes}")
     return 1 if any("error" in run or run["exit"] or run.get("failed") for run in runs) else 0
