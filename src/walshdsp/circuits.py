@@ -22,6 +22,19 @@ set decomposes into strictly fewer dyadic blocks, breaking ties toward the
 X-plus-pass-set form for low/high filters and toward the no-X form for
 band-pass; DC removal always uses the no-X form and drops the permutation
 stages entirely, since index 0 is a fixed point of the reordering.
+
+Every builder checks its inputs on every call (check_bits for n, the
+intervals or the spec's validate_for) and then builds trusted: its gates
+and its Circuit come from simulator._trusted, which runs neither
+Gate.__post_init__ nor check_register, since they are made from the checked
+n alone. The H and uz gates are shared per size, the selector's qubit
+tuples too; the selector's MCX gates are made on every call. Gate(...),
+Circuit(...) and circuit_from_json keep every check, and a circuit rebuilt
+through them equals the one built here.
+
+gate_stats counts each gate once, an MCX included, and its depth places an
+MCX in one layer like any other gate; mcx_controls, the sum of the MCX
+arities, is what grows with the selector's cost.
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ from functools import lru_cache
 from operator import index
 
 from walshdsp.simulator import (
-    CLOSED, GATE_KINDS, GATE_OPERANDS, OPEN, Gate, check_qubit_count, check_register, cnot, h, swap, x,
+    CLOSED, GATE_KINDS, GATE_OPERANDS, OPEN, Gate, _trusted, check_qubit_count, check_register, cnot, h, swap, x,
 )
 from walshdsp.transforms import check_bits, check_int
 
@@ -61,12 +74,14 @@ class Circuit:
 
 @dataclass(frozen=True)
 class GateStats:
-    """Per-kind gate counts, MCX control arities, and greedy depth."""
+    """Per-kind gate counts, MCX control arities, greedy depth, the gate
+    total and the MCX control total (the sum of mcx_arities)."""
 
     counts: dict[str, int]
     mcx_arities: tuple[int, ...]
     depth: int
     total: int
+    mcx_controls: int
 
     def as_dict(self) -> dict:
         return {**asdict(self), "mcx_arities": list(self.mcx_arities)}
@@ -98,19 +113,19 @@ def build_uz(n: int) -> Circuit:
     position. n=1 needs no gates.
     """
     n = check_bits(n)
-    return Circuit(n, _uz_gates(n), f"uz(n={n})")
+    return _trusted(Circuit, n_qubits=n, gates=_uz_gates(n), label=f"uz(n={n})")
 
 
 def build_uz_inverse(n: int) -> Circuit:
     """Reversed gate list of build_uz; every gate is its own inverse."""
     n = check_bits(n)
-    return Circuit(n, _uz_gates(n)[::-1], f"uz-inverse(n={n})")
+    return _trusted(Circuit, n_qubits=n, gates=_uz_gates(n)[::-1], label=f"uz-inverse(n={n})")
 
 
 def build_sequency_wht(n: int) -> Circuit:
     """H on every qubit, then the sequency reordering."""
     n = check_bits(n)
-    return Circuit(n, _h_layer(n) + _uz_gates(n), f"sequency-wht(n={n})")
+    return _trusted(Circuit, n_qubits=n, gates=_h_layer(n) + _uz_gates(n), label=f"sequency-wht(n={n})")
 
 
 def _normalize_intervals(intervals, size: int) -> list[tuple[int, int]]:
@@ -139,21 +154,33 @@ def _dyadic_blocks(merged, n: int) -> list[tuple[int, int]]:
     for lo, hi in merged:
         cur = lo
         while cur < hi:
-            align = n if cur == 0 else (cur & -cur).bit_length() - 1
-            t = min(align, (hi - cur).bit_length() - 1)
+            # the largest block that fits, unless cur is aligned only to a smaller one
+            t = (hi - cur).bit_length() - 1
+            if cur & ((1 << t) - 1):
+                t = (cur & -cur).bit_length() - 1
             blocks.append((cur, t))
             cur += 1 << t
     return blocks
 
 
+@lru_cache(maxsize=_SIZES_CACHED)
+def _selector_qubits(n: int) -> tuple[tuple[int, ...], ...]:
+    """Entry t: a selector MCX's qubits for a block of 2**t, data qubits n-1
+    down to t, then the ancilla."""
+    return tuple((*range(n - 1, t - 1, -1), n) for t in range(n + 1))
+
+
 def _selector_gates(blocks, n: int) -> tuple[Gate, ...]:
     """One MCX on the ancilla per dyadic block, controlled by its high bits:
-    data qubits n-1 down to t, then the ancilla."""
+    data qubits n-1 down to t, then the ancilla. Built trusted: the blocks
+    lie within [0, 2**n) for a checked n."""
+    qubits = _selector_qubits(n)
     gates = []
     for start, t in blocks:
         # the n - t bits of m = start >> t, high to low, under a leading 1
         bits = bin(start >> t | 1 << (n - t))[3:]
-        gates.append(Gate("MCX", (*range(n - 1, t - 1, -1), n), tuple(map(_POLARITY_OF_BIT.__getitem__, bits))))
+        gates.append(_trusted(Gate, kind="MCX", qubits=qubits[t],
+                              polarities=tuple(map(_POLARITY_OF_BIT.__getitem__, bits))))
     return tuple(gates)
 
 
@@ -170,7 +197,7 @@ def build_sequency_selector(n: int, band) -> Circuit:
     merged = _normalize_intervals(band, 1 << check_bits(n))
     gates = _selector_gates(_dyadic_blocks(merged, n), n)
     spans = ",".join(f"[{lo}:{hi})" for lo, hi in merged)
-    return Circuit(n + 1, gates, f"selector(n={n}, band={spans})")
+    return _trusted(Circuit, n_qubits=n + 1, gates=gates, label=f"selector(n={n}, band={spans})")
 
 
 def build_filter_circuit(n: int, spec, *, swapped: bool = False) -> Circuit:
@@ -213,14 +240,20 @@ def build_filter_circuit(n: int, spec, *, swapped: bool = False) -> Circuit:
 
     tag = ", swapped" if swapped else ""
     label = f"filter({spec.describe()}, n={n}{tag})"
-    return Circuit(n + 1, tuple(gates), label)
+    return _trusted(Circuit, n_qubits=n + 1, gates=gates, label=label)
 
 
 def gate_stats(circuit: Circuit) -> GateStats:
-    """Per-kind counts, MCX arity multiset, and greedy qubit-disjoint depth.
+    """Per-kind counts, MCX arity multiset, greedy qubit-disjoint depth, and
+    the MCX control total.
 
     Depth places each gate in the earliest layer where all its qubits are
-    free, the standard conservative layering.
+    free, the standard conservative layering; an MCX is one gate in one
+    layer, whatever its arity. The control total is the sum of the MCX
+    arities: an m-control Toffoli costs Theta(m) one- and two-qubit gates
+    with one borrowed qubit (Barenco et al., Phys. Rev. A 52, 3457 (1995),
+    section 7), so it tracks the selector's elementary cost, which depth and
+    total do not.
     """
     counts = dict.fromkeys(GATE_KINDS, 0)
     arities = []
@@ -234,7 +267,7 @@ def gate_stats(circuit: Circuit) -> GateStats:
         for q in gate.qubits:
             level[q] = layer
         depth = max(depth, layer)
-    return GateStats(counts, tuple(sorted(arities)), depth, len(circuit.gates))
+    return GateStats(counts, tuple(sorted(arities)), depth, len(circuit.gates), sum(arities))
 
 
 def _gate_record(gate: Gate) -> dict:

@@ -288,11 +288,11 @@ def _cmd_gates(args: argparse.Namespace) -> int:
             args.parser.error("gates --sweep takes no --n or --dump")
         lo, hi = args.sweep
         kinds = simulator.GATE_KINDS
-        rows = [",".join(["n", "total", "depth", *(k.lower() for k in kinds), "arities"])]
+        rows = [",".join(["n", "total", "depth", *(k.lower() for k in kinds), "arities", "mcx_controls"])]
         for n in range(lo, hi + 1):
             stats = circuits.gate_stats(_gates_build(args, n))
             arities = ";".join(str(a) for a in stats.mcx_arities)
-            fields = [n, stats.total, stats.depth, *(stats.counts[k] for k in kinds), arities]
+            fields = [n, stats.total, stats.depth, *(stats.counts[k] for k in kinds), arities, stats.mcx_controls]
             rows.append(",".join(map(str, fields)))
         text = "\n".join(rows) + "\n"
         if args.output:
@@ -317,6 +317,7 @@ def _cmd_gates(args: argparse.Namespace) -> int:
     print(f"mcx_arities {arities}")
     print(f"total {stats.total}")
     print(f"depth {stats.depth}")
+    print(f"mcx_controls {stats.mcx_controls}")
     if args.dump:
         with open(args.dump, "w", encoding="ascii") as fh:
             fh.write(circuits.circuit_to_json(circuit))

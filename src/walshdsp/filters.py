@@ -170,9 +170,11 @@ def filter_quantum(signal, spec: FilterSpec, *, swapped: bool = False) -> Filter
     # project_ancilla's branches, read in place
     halves = final.amplitudes.reshape(2, -1)
     pass_half, stop_half = halves[::-1] if swapped else halves
+    # two separate arrays, under one np.errstate
+    pass_branch, stop_branch = _from_units((pass_half, stop_half), scale, "filter branch")
     return FilterResult(
-        Coefficients(_from_units(pass_half, scale, "filter branch"), TIME),
-        Coefficients(_from_units(stop_half, scale, "filter branch"), TIME),
+        Coefficients(pass_branch, TIME),
+        Coefficients(stop_branch, TIME),
         float(np.vdot(pass_half, pass_half).real),
         float(np.vdot(stop_half, stop_half).real),
         scale,
@@ -222,11 +224,16 @@ def compare(a, b) -> dict[str, float]:
     av, bv = _as_coefficients(a).values, _as_coefficients(b).values
     if av.size != bv.size:
         raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
-    # the difference in the two vectors' common peak units, where it cannot
-    # overflow (taken in place: both copies are compare's own); then it and
-    # b each in their own, where no square underflows
+    # the difference in float64 itself, rounded once, where both peaks are
+    # below 2**1023 and it cannot overflow; from there in the two vectors'
+    # common peak units (taken in place: both copies are compare's own),
+    # where a difference below 2**-1022 of the peak is subnormal. Then it and
+    # b each in their own units, where no square underflows
     unit, (diff, scaled_b) = peak_units(av, bv)
-    diff -= scaled_b
+    if unit < 2.0 ** 1023:
+        unit, diff = 1.0, av - bv
+    else:
+        diff -= scaled_b
     diff_unit, (diff,) = peak_units(diff)
     ref_unit, (ref,) = peak_units(bv)
     l2_diff, l2_ref = float(np.linalg.norm(diff)), float(np.linalg.norm(ref))

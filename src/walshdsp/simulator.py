@@ -13,32 +13,38 @@ five kinds are real involutions, which the tests lean on heavily.
 Amplitudes keep the kind of the input: a real state is stored as float64 and
 stays real through every gate, a complex state is stored as complex128.
 
-run_circuit compiles the gate list into layers and moves the amplitudes only
-where it must:
+run_circuit is two parts, after the plan/execute split of FFTW (Frigo &
+Johnson, Proc. IEEE 93(2), 2005). _compile walks the gate list once, reads
+no amplitude, and returns a tuple of plain layer records; one loop then
+executes them, moving the amplitudes only where it must:
 
-* a run of H gates on k distinct qubits is one call of the package's
-  Hadamard kernel, transforms._hadamard_layer (Good's interaction algorithm):
-  one matmul per block of consecutive qubits into a spare buffer, with the
+* ("h", plan): a run of H gates on k distinct qubits is one pass of the
+  package's Hadamard kernel, transforms._hadamard_blocks (Good's interaction
+  algorithm), on the block plan transforms._hadamard_plan made for it: one
+  matmul per block of consecutive qubits into a spare buffer, with the
   unitary scale 2**(-k/2) folded into the last block;
-* CNOT/SWAP gates are a GF(2)-linear map of the basis indices. They are not
-  applied but composed into a pending map on the circuit's n qubits, which
-  relabels the index bits (Haener & Steiger, SC17). The map is materialised
-  only before an H run, before an X or MCX run it does not carry (below),
-  and at the end: as one gather through a transforms.gf2_index array over
-  the blocks' own bits, and not at all when it has come back to the
-  identity, as uz followed by its inverse does;
-* an X or MCX gate (an X is an MCX with no controls) swaps the two halves of
-  the sub-cube where its controls hold, read through the pending map: when
-  the map fixes the target and sends that sub-cube onto the storage sub-cube
-  of some fixed bits, as uz does for every selector gate, the gate is one
-  _swap, three exact copies between two strided views of the amplitudes
-  through the spare buffer; otherwise the map is materialised before the
-  gate's run. The views' layout, all but the fixed bits the polarities
+* ("gather", columns): CNOT/SWAP gates are a GF(2)-linear map of the basis
+  indices. They make no record of their own: _compile composes them into a
+  pending map on the circuit's n qubits, which relabels the index bits
+  (Haener & Steiger, SC17). The map is materialised only before an H run,
+  before an X or MCX run it does not carry (below), and at the end: as one
+  gather through a transforms.gf2_index array over the blocks' own bits,
+  and not at all when it has come back to the identity, as uz followed by
+  its inverse does;
+* ("cubes", cubes): an X or MCX gate (an X is an MCX with no controls)
+  swaps the two halves of the sub-cube where its controls hold, read
+  through the pending map: when the map fixes the target and sends that
+  sub-cube onto the storage sub-cube of some fixed bits, as uz does for
+  every selector gate, the gate is two exact copies: a strided view of the
+  amplitudes into the spare buffer with the target's axis reversed, and
+  back; otherwise the map is materialised before the gate's run. The map's columns are taken once
+  per run, and the views' layout, all but the fixed bits the polarities
   pick, is cached per map and qubit tuple, so a filter's selector gates of
   one block size, whose qubit tuples are equal, share it;
-* a state narrower than the circuit has its qubits above it in |0>, and
-  they are kept as known bits: the amplitudes are those of the block the
-  bits pick, an X on one flips its bit and moves nothing, and the layers
+* ("split", (known, cubes)), ("join", known) and ("end", known): a state
+  narrower than the circuit has its qubits above it in |0>, and they are
+  kept as known bits: the amplitudes are those of the block the bits pick,
+  an X on one flips its bit in _compile and moves nothing, and the layers
   below them run on the block and a spare of its size. The first other
   layer that touches one joins the state into the circuit's width: the
   block is written where the bits put it in a fresh state, the rest zeroed.
@@ -49,17 +55,24 @@ where it must:
   measurement). The block and its spare, zero-filled, are the two halves'
   blocks, and the halves of a fresh output their spares. Each gate of an
   MCX run on that qubit lays its sub-cube over the n bits and swaps it
-  between the blocks with the same _swap; every layer below it runs on each
-  block in turn, so with an odd number of Hadamard blocks (n = 17..20 data
-  qubits) the last H layer writes the output directly. Any other layer on
-  the qubit, and the end, joins the halves: each block is copied into its
-  half of the output unless it is there already. The pending map's columns
-  for the known qubits stay the identity, so a join mid-circuit carries it
-  on as it is; the end gathers it per block first, which a filter circuit,
-  its map back at the identity, never does. Only blocks of at least
-  _ALIGN_FLOOR bytes (2**14 float64 amplitudes) split: smaller buffers come
-  from the heap and take no first-touch faults, and two kernel calls per H
-  layer cost more than they save.
+  between the blocks with _swap, three exact copies through a scratch
+  buffer; every layer below it runs on each block in turn, so with an odd
+  number of Hadamard blocks (n = 17..20 data qubits) the last H layer
+  writes the output directly. Any other layer on the qubit, and the end,
+  joins the halves: each block is copied into its half of the output unless
+  it is there already. The pending map's columns for the known qubits stay
+  the identity, so a join mid-circuit carries it on as it is; the end
+  gathers it per block first, which a filter circuit, its map back at the
+  identity, never does. Only blocks of at least _ALIGN_FLOOR bytes (2**14
+  float64 amplitudes) split: smaller buffers come from the heap and take no
+  first-touch faults, and two kernel calls per H layer cost more than they
+  save. Since the split depends on the state's width and amplitude size,
+  _compile takes both.
+
+The records hold only ints, slices, tuples and lists of them, and the
+kernel's read-only sign matrices, so each layer's support and work can be
+read off them without running it. Nothing is cached per circuit: a filter call compiles
+its own.
 
 The input rule is the one transforms states: a read-only array belongs to
 the caller and is never written. run_circuit views the caller's amplitudes
@@ -67,6 +80,14 @@ read-only once, and each step that would write a block reads that flag: on
 a read-only block the H kernel writes a buffer of its own, a gather takes a
 fresh free buffer in the block's place, and an X or MCX run, the split and
 the end copy the block first.
+
+Trusted construction: _trusted makes a Gate, Circuit or Statevector without
+running its checks. Only the package's own builders use it, for values they
+have just made from checked ones: the circuit builders' gates and circuits,
+on a bit width check_bits (and a spec's validate_for) passed on that call,
+and amplitude_encode's state, which it has just divided by its own norm.
+The public constructors Gate(...), Circuit(...) and Statevector(...), the
+gate factories, circuit_from_json and run_circuit's output keep every check.
 
 The layers come from the gate list alone. apply_gate keeps the per-gate
 index-array kernel as the slow reference the compiled path is tested
@@ -85,13 +106,13 @@ __all__ = ["CLOSED", "OPEN", "Gate", "NormalizationError", "Statevector", "ampli
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, compress, groupby
+from itertools import chain, groupby
 from operator import attrgetter, index, or_, xor
 
 import numpy as np
 
-from walshdsp.transforms import (_ALIGN_FLOOR, _empty, _hadamard_layer, _read_only, check_index, check_int,
-                                 gf2_index, peak_units, time_signal)
+from walshdsp.transforms import (_ALIGN_FLOOR, _empty, _hadamard_blocks, _hadamard_plan, _read_only, check_index,
+                                 check_int, gf2_index, peak_units, time_signal)
 
 OPEN = "open"
 CLOSED = "closed"
@@ -217,6 +238,22 @@ class Statevector:
         object.__setattr__(self, "amplitudes", amps)
 
 
+def _trusted(cls, **fields):
+    """A cls instance with these field values, none of them checked: no
+    __post_init__ runs.
+
+    Only for values the package has just made from checked ones: the
+    circuit builders' gates and circuits, on a bit width check_bits has
+    passed, and amplitude_encode's state, which it has just divided by its
+    norm. Gate(...), Circuit(...), circuit_from_json, Statevector(...) and
+    run_circuit's output keep every check.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def basis_state(n_qubits: int, index: int = 0) -> Statevector:
     """The computational basis state |index> on n_qubits qubits."""
     n_qubits, index = check_qubit_count(n_qubits), check_index(index, "basis index")
@@ -322,69 +359,62 @@ class _PendingMap:
             else:
                 columns[a], columns[b] = columns[b], columns[a]
 
-    def flush(self, pairs) -> None:
-        """Gather each [block, free buffer] pair's block into its free buffer
-        through the map over the blocks' own bits, swap the two, and leave the
-        map empty; nothing moves if it is the identity. A read-only block is
-        not handed on as a free buffer: a fresh one takes its place."""
+    def take(self, bits: int) -> tuple | None:
+        """The map's columns over the low bits storage bits, the map left
+        empty; None if it is the identity, which moves nothing."""
         if self.columns == self.identity:
-            return
-        index = gf2_index(self.columns[: pairs[0][0].size.bit_length() - 1])
-        self.columns = list(self.identity)
-        for pair in pairs:
-            # gf2_index stays in range; mode="raise" would buffer the take
-            np.take(pair[0], index, out=pair[1], mode="clip")
-            pair[:] = pair[1], pair[0] if pair[0].flags.writeable else _empty(pair[0])
-
-    def cubes(self, run: list[Gate], bits: int, pairs) -> list:
-        """The sub-cubes of an X or MCX run over bits storage bits, the pairs
-        flushed first unless the map carries every gate."""
-        if None in (cubes := [self.sub_cube(gate, bits) for gate in run]):
-            # the identity map a flush leaves carries every gate
-            self.flush(pairs)
-            cubes = [self.sub_cube(gate, bits) for gate in run]
-        return cubes
-
-    def sub_cube(self, gate: Gate, bits: int):
-        """Where an X or MCX gate acts on the low bits storage bits, as (shape, lo, hi); None if the map does not carry it.
-
-        bits is the width of the storage the cube is laid over: a block's
-        width, or one more at a split, whose qubit then lies on axis 0.
-
-        The gate swaps logical j and j ^ e_t on the sub-cube where its
-        controls hold. The map sends that sub-cube to source(j0) ^
-        span(columns[q], q free), with j0 the index whose free qubits read 0
-        (t is free). The span is the storage sub-cube over the bits of U =
-        OR(columns[q], q free) exactly when U has one bit per free qubit, and
-        while columns[t] = e_t the gate pairs storage i with i ^ e_t. Then it
-        swaps the t = 0 and t = 1 halves of that sub-cube: the amplitudes
-        reshaped to shape, indexed by lo and by hi. Only the fixed bits
-        source(j0) depend on the polarities; the rest is _cube_layout's.
-        """
-        columns, t = self.columns, gate.qubits[-1]
-        if columns[t] != 1 << t or (layout := _cube_layout(tuple(columns[:bits]), gate.qubits)) is None:
             return None
-        shape, runs, axis = layout
-        closed = compress(gate.qubits, map(CLOSED.__eq__, gate.polarities))
-        fixed = reduce(xor, map(columns.__getitem__, closed), 0)
-        at = [slice(None) if mask is None else fixed >> b & mask for b, mask in runs]
-        at[axis] = 0
-        lo = tuple(at) + (...,)
-        at[axis] = 1
-        return shape, lo, tuple(at) + (...,)
+        columns, self.columns = tuple(self.columns[:bits]), list(self.identity)
+        return columns
+
+    def cubes(self, run: list[Gate], bits: int) -> list | None:
+        """Where each gate of an X or MCX run acts on the low bits storage
+        bits, as (shape, at, flip); None if the map does not carry every gate.
+
+        bits is the width of the storage the cubes are laid over: a block's
+        width, or one more at a split, whose qubit then lies on axis 0. The
+        columns over those bits are taken once per run.
+
+        A gate swaps logical j and j ^ e_t on the sub-cube where its controls
+        hold. The map sends that sub-cube to source(j0) ^ span(columns[q], q
+        free), with j0 the index whose free qubits read 0 (t is free). The
+        span is the storage sub-cube over the bits of U = OR(columns[q], q
+        free) exactly when U has one bit per free qubit, and while columns[t]
+        = e_t the gate pairs storage i with i ^ e_t. Then the amplitudes
+        reshaped to shape and indexed by at are that sub-cube, bit t on one
+        axis of two, and indexing the result by flip reverses that axis: the
+        gate. Only the fixed bits source(j0) in at depend on the polarities;
+        the rest is _cube_layout's.
+        """
+        columns = self.columns
+        key, cubes = tuple(columns[:bits]), []
+        for gate in run:
+            qubits = gate.qubits
+            t = qubits[-1]
+            if columns[t] != 1 << t or (layout := _cube_layout(key, qubits)) is None:
+                return None
+            shape, runs, flip = layout
+            fixed = 0
+            for q, polarity in zip(qubits, gate.polarities):
+                if polarity == CLOSED:
+                    fixed ^= columns[q]
+            cubes.append((shape, (*[slice(None) if mask is None else fixed >> b & mask for b, mask in runs], ...),
+                          flip))
+        return cubes
 
 
 @lru_cache(maxsize=256)
 def _cube_layout(columns: tuple, qubits: tuple):
-    """The part of _PendingMap.sub_cube that the polarities do not change.
+    """The part of _PendingMap.cubes that the polarities do not change.
 
     For a map's columns and a gate's qubits (controls, then the target t):
     None unless the free qubits' columns have one bit each; else the shape,
-    one (lowest bit, mask) per axis, mask None on a run of free bits, and
-    the axis of bit t. The cache compares its keys by value, so equal qubit
-    tuples share an entry: a filter circuit's selector gates of one block
-    size have equal qubit tuples and meet the same map, uz, so this is
-    computed once per size and block size.
+    one (lowest bit, mask) per axis, mask None on a run of free bits (bit t
+    is free and has an axis of its own), and the index that reverses bit t's
+    axis in the view the free axes make. The cache compares its keys by
+    value, so equal qubit tuples share an entry: a filter circuit's selector
+    gates of one block size have equal qubit tuples and meet the same map,
+    uz, so this is computed once per size and block size.
     """
     n, t = len(columns), qubits[-1]
     free_qubits = frozenset(range(n)).difference(qubits[:-1])
@@ -400,11 +430,75 @@ def _cube_layout(columns: tuple, qubits: tuple):
         shape.append(1 << (top - b))
         runs.append((b, None if free >> b & 1 else (1 << (top - b)) - 1))
         top = b
-    return tuple(shape), tuple(runs), bin(edges >> t).count("1") - 1
+    # the free axes above bit t's come first in the view
+    above = bin(free >> t & edges >> t).count("1") - 1
+    return tuple(shape), tuple(runs), (slice(None),) * above + (slice(None, None, -1), ...)
+
+
+def _compile(circuit, width: int, itemsize: int) -> tuple:
+    """run_circuit's plan for a state of width qubits and itemsize-byte
+    amplitudes: a tuple of (step, argument) layer records.
+
+    One pure walk of the gates, which reads no amplitude:
+    * ("h", plan): an H run's Hadamard blocks, transforms._hadamard_plan's,
+      with the scale 2**(-k/2) folded in, on every block;
+    * ("gather", columns): the pending map over the blocks' bits, gathered
+      into every block;
+    * ("cubes", cubes): an X or MCX run's sub-cubes (shape, at, flip) over
+      the blocks' bits, each reversed on its target's axis in every block;
+    * ("split", (known, cubes)): an MCX run on the one known qubit, its
+      cubes laid over all n bits, swapped between the halves;
+    * ("join", known) and, last, ("end", known): the blocks joined into the
+      circuit's width, the known bits above them as given.
+    An X on a known bit only changes known, and CNOT/SWAP runs only the
+    pending map, so neither makes a record of its own.
+    """
+    n = circuit.n_qubits
+    known = 0  # the values of the known bits, qubit width + b at bit b
+    split = False
+    pending = _PendingMap(n)
+    records = []
+
+    def gather():
+        if (columns := pending.take(width)) is not None:
+            records.append(("gather", columns))
+
+    def carried(run, bits):
+        # the cubes under the map, gathered first unless it carries them all;
+        # the identity map a gather leaves carries every gate
+        if (cubes := pending.cubes(run, bits)) is None:
+            gather()
+            cubes = pending.cubes(run, bits)
+        return cubes
+
+    for kind, run in _runs(circuit.gates):
+        if width < n:
+            if kind == "X" and not split:
+                known ^= reduce(xor, (1 << gate.qubits[0] for gate in run), 0) >> width
+                if not (run := [gate for gate in run if gate.qubits[0] < width]):
+                    continue
+            elif max(run if kind == "H" else chain.from_iterable(map(_QUBITS, run))) >= width:
+                if (kind == "MCX" and n - width == 1 and itemsize << width >= _ALIGN_FLOOR
+                        and all(gate.qubits[-1] == width for gate in run)):
+                    records.append(("split", (known, carried(run, n))))
+                    split = True
+                    continue
+                records.append(("join", known))
+                width, split = n, False
+        if kind in _PERMUTATION_KINDS:
+            pending.compose(run)
+        elif kind == "H":
+            gather()
+            records.append(("h", _hadamard_plan(tuple(run), 2 ** (-len(run) / 2))))
+        else:
+            records.append(("cubes", carried(run, width)))
+    gather()
+    records.append(("end", known))
+    return tuple(records)
 
 
 def run_circuit(state: Statevector, circuit) -> Statevector:
-    """Apply a circuit's gates in order, compiled into layers (module docstring).
+    """Apply a circuit's gates in order: _compile's records, executed in one loop (module docstring).
 
     The state may be narrower than the circuit, never wider: the qubits
     above it start in |0> and stay known bits until a layer other than X
@@ -416,51 +510,51 @@ def run_circuit(state: Statevector, circuit) -> Statevector:
     n, width = circuit.n_qubits, state.n_qubits
     if width > n:
         raise ValueError(f"circuit on {n} qubits, state on {width}")
-    known = 0  # the values of the known bits, qubit width + b at bit b
     amps = _read_only(state.amplitudes.view())
     pairs = [[amps, _empty(amps)]]  # each block and a free buffer of its size
     out = None  # once split: the state on n qubits, one half per block
-    pending = _PendingMap(n)
-    for kind, run in _runs(circuit.gates):
-        if width < n:
-            if kind == "X" and out is None:
-                known ^= reduce(xor, (1 << gate.qubits[0] for gate in run), 0) >> width
-                if not (run := [gate for gate in run if gate.qubits[0] < width]):
-                    continue
-            elif max(run if kind == "H" else chain.from_iterable(map(_QUBITS, run))) >= width:
-                if (kind == "MCX" and n - width == 1 and pairs[0][0].nbytes >= _ALIGN_FLOOR
-                        and all(gate.qubits[-1] == width for gate in run)):
-                    pairs, out = _split(pairs, out, known, pending, run)
-                    continue
-                amps = _join(pairs, out, known, n)
-                # the narrow buffers are freed before the wide spare is taken
-                pairs = None
-                pairs, out, width = [[amps, _empty(amps)]], None, n
-        if kind in _PERMUTATION_KINDS:
-            pending.compose(run)
-            continue
-        if kind == "H":
-            pending.flush(pairs)
-            cubes = None
+    for step, arg in _compile(circuit, width, amps.itemsize):
+        if step == "gather":
+            _gather(pairs, arg)
+        elif step == "split":
+            pairs, out = _split(pairs, out, *arg)
+        elif step == "join":
+            amps = _join(pairs, out, arg, n)
+            # the narrow buffers are freed before the wide spare is taken
+            pairs = None
+            pairs, out = [[amps, _empty(amps)]], None
+        elif step == "end":
+            return Statevector(n, _join(pairs, out, arg, n))
         else:
-            cubes = pending.cubes(run, width, pairs)
-        for pair in pairs:
-            _layer(pair, run, cubes)
-    pending.flush(pairs)
-    return Statevector(n, _join(pairs, out, known, n))
+            for pair in pairs:
+                _layer(pair, step, arg)
 
 
-def _layer(pair, run, cubes) -> None:
-    """An H run (cubes None) or an X or MCX run's cubes on one [block, free buffer] pair, in place."""
+def _gather(pairs, columns: tuple) -> None:
+    """Gather each [block, free buffer] pair's block into its free buffer
+    through the map's columns over the blocks' bits, and swap the two. A
+    read-only block is not handed on as a free buffer: a fresh one takes its
+    place."""
+    index = gf2_index(columns)
+    for pair in pairs:
+        # gf2_index stays in range; mode="raise" would buffer the take
+        np.take(pair[0], index, out=pair[1], mode="clip")
+        pair[:] = pair[1], pair[0] if pair[0].flags.writeable else _empty(pair[0])
+
+
+def _layer(pair, step: str, arg) -> None:
+    """An "h" record's plan or a "cubes" record's cubes on one [block, free buffer] pair, in place."""
     amps, spare = pair
-    if cubes is None:
-        pair[:] = _hadamard_layer(amps, spare, run, 2 ** (-len(run) / 2))
+    if step == "h":
+        pair[:] = _hadamard_blocks(amps, spare, arg)
         return
     if not amps.flags.writeable:
         amps = amps.copy()
-    for shape, lo, hi in cubes:
-        states = amps.reshape(shape)
-        _swap(states[lo], states[hi], spare.reshape(shape)[lo])
+    for shape, at, flip in arg:
+        # the cube reversed on the target's axis, through the spare
+        cube, scratch = amps.reshape(shape)[at], spare.reshape(shape)[at]
+        scratch[...] = cube[flip]
+        cube[...] = scratch
     pair[:] = amps, spare
 
 
@@ -471,18 +565,17 @@ def _swap(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> None:
     np.copyto(b, scratch)
 
 
-def _split(pairs, out, known: int, pending: _PendingMap, run):
-    """Run an MCX run on the one qubit above the blocks between two halves; returns (pairs, out).
+def _split(pairs, out, known: int, cubes):
+    """Swap an MCX run's cubes on the one qubit above the blocks between two halves; returns (pairs, out).
 
     The first such run splits the one block: the half for the value known
     is its amplitudes (a copy if they are read-only), the other its free
     buffer zero-filled, and each half of a fresh out is the free buffer of
-    its block. Each cube (shape, lo, hi) of the run is laid over the map's n
-    bits, so it has the qubit on axis 0, as _cube_layout puts it, and is
-    swapped between the blocks through the first block's free buffer; a
-    later cube may overlap an earlier one.
+    its block. Each cube (shape, lo, hi) is laid over the circuit's n bits,
+    so it has the qubit on axis 0, as _cube_layout puts it, and is swapped
+    between the blocks through the first block's free buffer; a later cube
+    may overlap an earlier one.
     """
-    cubes = pending.cubes(run, len(pending.columns), pairs)
     if out is None:
         ((amps, zeros),) = pairs
         zeros.fill(0)
@@ -493,9 +586,9 @@ def _split(pairs, out, known: int, pending: _PendingMap, run):
         blocks = (zeros, amps) if known else (amps, zeros)
         pairs = [[block, half] for block, half in zip(blocks, out.reshape(2, -1))]
     (zero, buffer), (one, _) = pairs
-    for shape, lo, _ in cubes:
-        # lo and hi differ on axis 0 alone
-        _swap(*(a.reshape(shape[1:])[lo[1:]] for a in (zero, one, buffer)))
+    for shape, at, _ in cubes:
+        # bit t is axis 0: the cube's halves are the blocks' sub-cubes at at[1:]
+        _swap(*(a.reshape(shape[1:])[at[1:]] for a in (zero, one, buffer)))
     return pairs, out
 
 
@@ -549,7 +642,8 @@ def amplitude_encode(signal) -> tuple[Statevector, float]:
     if not math.isfinite(scale):
         raise NormalizationError("signal norm overflows float64")
     scaled /= norm
-    return Statevector(n, scaled), scale
+    # divided by its own norm: the state's norm check would re-take it
+    return _trusted(Statevector, n_qubits=n, amplitudes=scaled), scale
 
 
 def project_ancilla(state: Statevector, qubit: int, outcome: int) -> tuple[np.ndarray, float]:

@@ -24,7 +24,8 @@ only through _from_units, which multiplies it back into a new array and
 turns the multiply's overflow into a ValueError naming the result. So a
 finite input never comes back as inf.
 
-_hadamard_layer is the package's one H kernel, shared with the simulator
+_hadamard_layer is the package's one H kernel, shared with the simulator,
+which plans its layers first and runs each plan through _hadamard_blocks,
 and checked against the dense sequency matrix and a fold of the
 simulator's one-qubit H gates. The classical transforms run it on the
 caller's samples with the unitary scale folded in; _scaled_fwht says when
@@ -202,16 +203,19 @@ def peak_units(*arrays: np.ndarray) -> tuple[float, list[np.ndarray]]:
     return unit, [a / unit for a in arrays]
 
 
-def _from_units(values: np.ndarray, unit: float, what: str = "transform result") -> np.ndarray:
-    """values * unit as a new array, real or complex: the package's one exit
-    from peak units and from the encoding norm.
+def _from_units(values, unit: float, what: str = "transform result"):
+    """values * unit as a new array, real or complex, or for a tuple of
+    arrays a tuple of new arrays: the package's one exit from peak units and
+    from the encoding norm.
 
     ValueError, naming what, if an entry (or a part of one) would pass
     float64: the multiply's own overflow flag says so, so the check makes no
-    pass of its own.
+    pass of its own. A tuple's multiplies share one np.errstate.
     """
     with np.errstate(over="raise"):
         try:
+            if isinstance(values, tuple):
+                return tuple(part * unit for part in values)
             return values * unit
         except FloatingPointError:
             raise ValueError(f"{what} is beyond float64") from None
@@ -424,8 +428,14 @@ def _hadamard_layer(a: np.ndarray, spare: np.ndarray, qubits, scale: float = 1.0
     the blocks write spare and a in turn, or spare and a fresh buffer from
     _empty if a is read-only (the module's input rule). Real or complex a.
     """
+    return _hadamard_blocks(a, spare, _hadamard_plan(tuple(qubits), scale))
+
+
+def _hadamard_blocks(a: np.ndarray, spare: np.ndarray, plan):
+    """_hadamard_layer on a plan _hadamard_plan has made, for a caller that
+    plans its layers before it runs them, as run_circuit does."""
     back = a if a.flags.writeable else _empty(a)
-    for lo, g, matrix in _hadamard_plan(tuple(qubits), scale):
+    for lo, g, matrix in plan:
         if a.size == 1 << g:
             # numpy gives a one-row product to gemv, which rounds its sums
             # otherwise than gemm: the row of a two-row product keeps a

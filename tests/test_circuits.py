@@ -335,8 +335,16 @@ def test_filter_depth_monotone_for_lowpass_family():
 
 
 def test_filter_rejects_bad_specs():
-    with pytest.raises(ValueError):
-        qc.build_filter_circuit(3, FilterSpec.low_pass(9))
+    # on every call: the builders build trusted only after these checks pass
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            qc.build_filter_circuit(3, FilterSpec.low_pass(9))
+        with pytest.raises(ValueError):
+            qc.build_filter_circuit(3, FilterSpec.band_pass(4, 9), swapped=True)
+        with pytest.raises(ValueError, match="bit width must be an integer"):
+            qc.build_filter_circuit(2.0, FilterSpec.dc())
+        with pytest.raises(ValueError, match="out of range"):
+            qc.build_sequency_selector(3, [(0, 9)])
     with pytest.raises(ValueError):
         qc.build_filter_circuit(3, FilterSpec.band_pass(4, 4))
 
@@ -409,6 +417,27 @@ def test_builders_refuse_zero_qubits_on_every_call():
                 build(0)
 
 
+def _every_circuit_built(n):
+    size = 1 << n
+    built = [qc.build_uz(n), qc.build_uz_inverse(n), qc.build_sequency_wht(n),
+             qc.build_sequency_selector(n, [(0, 1), (size // 2, size)]), qc.build_sequency_selector(n, [(1, size)])]
+    return built + [qc.build_filter_circuit(n, spec, swapped=swapped)
+                    for spec in _seeded_specs(n) for swapped in (False, True)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_trusted_builds_equal_their_rebuild_through_the_public_constructors(n):
+    # the builders skip Gate's and Circuit's checks for the gates they make;
+    # every gate and circuit they emit passes those checks and rebuilds equal
+    for circuit in _every_circuit_built(n):
+        gates = [sim.Gate(gate.kind, gate.qubits, gate.polarities) for gate in circuit.gates]
+        rebuilt = qc.Circuit(circuit.n_qubits, gates, circuit.label)
+        assert rebuilt == circuit, circuit.label
+        assert type(circuit) is qc.Circuit and type(circuit.n_qubits) is int
+        assert all(type(gate) is sim.Gate for gate in circuit.gates)
+        assert [hash(gate) for gate in rebuilt.gates] == [hash(gate) for gate in circuit.gates]
+
+
 # ---------------------------------------------------------------------------
 # gate stats and elision
 
@@ -436,6 +465,30 @@ def test_gate_stats_mcx_arities_sorted_multiset():
         ),
     )
     assert qc.gate_stats(circuit).mcx_arities == (1, 2, 2)
+    assert qc.gate_stats(circuit).mcx_controls == 5
+    assert qc.gate_stats(circuit).as_dict()["mcx_controls"] == 5
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_mcx_controls_grow_linearly_for_dyadic_cutoffs(n):
+    # a cutoff 2**k is one block of 2**k on one side: one MCX on the top n - k
+    # data qubits, so N/2 costs 1 control and N/4 costs 2 at every n
+    for k in range(n + 1):
+        for spec in (FilterSpec.low_pass(1 << k), FilterSpec.high_pass(1 << k)):
+            for swapped in (False, True):
+                stats = qc.gate_stats(qc.build_filter_circuit(n, spec, swapped=swapped))
+                assert stats.mcx_controls == n - k == sum(stats.mcx_arities), (spec, swapped)
+    assert qc.gate_stats(qc.build_filter_circuit(n, FilterSpec.dc())).mcx_controls == n
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_mcx_controls_grow_quadratically_for_third_band_edges(n):
+    # [N/3, 2N/3): both edges are 0101... in binary, so the pass and stop
+    # sets each take about n dyadic blocks of up to n controls
+    size = 1 << n
+    stats = qc.gate_stats(qc.build_filter_circuit(n, FilterSpec.band_pass(size // 3, 2 * size // 3)))
+    assert stats.mcx_controls == (n * n + 2 * n - 4) // 2
+    assert stats.counts["MCX"] <= 2 * n
 
 
 # ---------------------------------------------------------------------------

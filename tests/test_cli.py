@@ -116,6 +116,9 @@ def test_filter_outputs_and_meta(tmp_path, square_csv):
     assert conv["selector_fires_on"] in ("pass", "stop")
     stats = meta["gate_stats"]
     assert stats["total"] == sum(stats["counts"].values())
+    # the control total is the last key; the keys before it are unchanged
+    assert list(stats) == ["counts", "mcx_arities", "depth", "total", "mcx_controls"]
+    assert stats["mcx_controls"] == sum(stats["mcx_arities"])
     for metric in meta["errors"].values():
         assert metric["l2_abs"] <= 1e-10
     # leading_x mirrors the built circuit
@@ -242,6 +245,17 @@ def test_gates_prints_stats(capsys):
     assert "total 9" in out
 
 
+def test_gates_reports_the_mcx_control_total_last(capsys):
+    # dc fires on index 0 alone: one MCX controlled by all n data qubits
+    assert main(["gates", "--kind", "dc", "--n", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == ["total 11", "depth 3", "mcx_controls 5"]
+    assert main(["gates", "--kind", "dc", "--sweep", "2:4"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert rows[0][-2:] == ["arities", "mcx_controls"]
+    assert [(row[0], row[-1]) for row in rows[1:]] == [("2", "2"), ("3", "3"), ("4", "4")]
+
+
 def test_gates_dump_round_trips(tmp_path, capsys):
     dump = tmp_path / "c.json"
     assert main(["gates", "--kind", "low", "--cutoff", "N/2", "--n", "5", "--dump", str(dump)]) == 0
@@ -261,7 +275,7 @@ def test_gates_sweep_csv(tmp_path, capsys):
     assert main(["gates", "--kind", "uz", "--sweep", "2:6"]) == 0
     assert capsys.readouterr().out == out.read_text()
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "n,total,depth,h,x,cnot,swap,mcx,arities"
+    assert lines[0] == "n,total,depth,h,x,cnot,swap,mcx,arities,mcx_controls"
     assert len(lines) == 6
     row = dict(zip(lines[0].split(","), lines[3].split(",")))  # n=4
     assert row["cnot"] == "3"

@@ -532,6 +532,15 @@ def test_compare_takes_each_norm_in_its_own_peak_units(a, b, l2_abs, l2_rel, lin
     assert got == pytest.approx({"l2_abs": l2_abs, "l2_rel": l2_rel, "linf": linf}, rel=4 * EPS, abs=0.0)
 
 
+def test_compare_takes_a_difference_below_the_peaks_subnormal_range_in_float64():
+    # in the two vectors' common peak units (2**996) the difference 1e-20 was
+    # subnormal and kept 1e-4 of its value: 9.998959244540999e-21
+    got = flt.compare([1e300, 1e-20], [1e300, 0.0])
+    assert got["l2_abs"] == got["linf"] == 1e-20
+    # from 2**1023 on the difference is taken in peak units, where it cannot overflow
+    assert flt.compare([2.0 ** 1023, 1.0], [2.0 ** 1023, 0.0])["linf"] == 1.0
+
+
 def test_compare_refuses_a_relative_difference_beyond_float64():
     # 1 / 2**-1074: the two units' ratio, 2**1074, is itself beyond float64
     with pytest.raises(ValueError, match="relative difference is beyond float64"):

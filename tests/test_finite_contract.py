@@ -1,7 +1,9 @@
 """Finite in, finite out, across every public function that takes samples.
 
 Each drawn signal mixes 0, -0.0, subnormals, tiny and huge normals up to
-float64's largest value, of both signs. Every call either returns only
+float64's largest value, of both signs; so does every drawn Waveform
+parameter, and the bit widths of discretize and the composites are drawn
+from the same values and small integers. Every call either returns only
 finite values or raises ValueError (NormalizationError and SizingError are
 subclasses). pyproject makes a RuntimeWarning an error, so an overflow that
 only warns fails here too. Two outputs may be inf by their documentation:
@@ -71,6 +73,14 @@ def _library(x, y, spec):
         _finite_or_value_error(transform, x)
     _finite_or_value_error(transforms.wht_sequency, transforms.Coefficients(x, transforms.SEQUENCY))
     _finite_or_value_error(simulator.amplitude_encode, x, parts=lambda out: [out[0].amplitudes, out[1]])
+    try:
+        state, _ = simulator.amplitude_encode(x)
+    except ValueError:
+        pass
+    else:
+        # amplitude_encode skips the norm check; the public constructor's passes
+        checked = simulator.Statevector(state.n_qubits, state.amplitudes)
+        assert np.array_equal(checked.amplitudes, state.amplitudes)
     _finite_or_value_error(filters.filter_quantum, x, spec, parts=lambda r: [
         r.pass_branch, r.stop_branch, r.p_pass, r.p_stop, r.scale])
     _finite_or_value_error(filters.filter_classical_oracle, x, spec, parts=list)
@@ -120,3 +130,25 @@ def test_every_call_on_finite_samples_is_finite_or_a_value_error(case):
     _library(x, y, spec)
     with tempfile.TemporaryDirectory() as tmp:
         _command_line(x, spec, Path(tmp))
+
+
+# bit widths: small integers, and the value mix, where no float is a width
+WIDTHS = st.one_of(st.integers(-1, 10), VALUES)
+
+
+@st.composite
+def waveforms(draw):
+    """A Waveform's kind and every parameter, each a signed value from the mix."""
+    params = {name: -v if negative else v
+              for name in ("cycles", "width", "offset", "amplitude", "phase")
+              for v, negative in [draw(st.tuples(VALUES, st.booleans()))]}
+    return draw(st.sampled_from(signals.KINDS)), params
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(waveforms(), WIDTHS)
+def test_every_waveform_samples_finitely_or_raises_value_error(waveform, n):
+    kind, params = waveform
+    _finite_or_value_error(lambda: signals.discretize(signals.Waveform(kind, **params), n))
+    _finite_or_value_error(signals.step_composite, n)
+    _finite_or_value_error(signals.tone_composite, n)

@@ -445,7 +445,7 @@ def prefixed_mcx_runs(draw):
     for gate in prefix:
         if gate.kind != "X":
             pending.compose([gate])
-        elif pending.sub_cube(gate, n) is None:
+        elif pending.cubes([gate], n) is None:
             pending = sim._PendingMap(n)
     fixed = [q for q in range(n) if pending.columns[q] == 1 << q]
     moved = [q for q in range(n) if q not in fixed]
@@ -790,6 +790,62 @@ def test_layers_after_the_split_run_on_each_half(monkeypatch, name):
     out = sim.run_circuit(state, circuit)
     assert (sizes, joins) == ({8}, [2])
     assert np.array_equal(out.amplitudes, sim.run_circuit(padded(state, 4), circuit).amplitudes)
+
+
+@st.composite
+def compiled_cases(draw):
+    """A random circuit on 2-6 qubits, a state 0-2 qubits narrower, and whether to split from any size.
+
+    The circuit is segments of one family each: a CNOT/SWAP run, whose
+    pending map the MCX runs after it read through or flush; H gates; X
+    gates, on known bits too; an MCX run on one target; and a selector-like
+    MCX run on the top qubit with its controls below, which splits a state
+    one qubit narrower.
+    """
+    n = draw(st.integers(2, 6))
+    qubit = st.integers(0, n - 1)
+    gates = []
+    for family in draw(st.lists(st.sampled_from(["map", "H", "X", "MCX", "selector"]), max_size=7)):
+        count = draw(st.integers(1, 4))
+        if family == "map":
+            for _ in range(count):
+                a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+                gates.append(sim.cnot(a, b) if draw(st.booleans()) else sim.swap(a, b))
+        elif family in ("H", "X"):
+            gates += [(sim.h if family == "H" else sim.x)(draw(qubit)) for _ in range(count)]
+        else:
+            target = n - 1 if family == "selector" else draw(qubit)
+            others = [q for q in range(n) if q != target]
+            for _ in range(count):
+                controls = draw(st.lists(st.sampled_from(others), unique=True))
+                gates.append(sim.mcx([(q, draw(st.sampled_from([sim.OPEN, sim.CLOSED]))) for q in controls], target))
+    return Circuit(n, tuple(gates)), draw(st.integers(max(1, n - 2), n)), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(compiled_cases(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_compiled_records_execute_as_the_gate_fold(case, complex_state, seed):
+    # _compile's records, run by the executor, against apply_gate gate by
+    # gate, on full, narrow and split states; without an H every record only
+    # moves amplitudes, so the bits must match exactly
+    circuit, width, split_any_size = case
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(1 << width)
+    if complex_state:
+        amps = amps + 1j * rng.standard_normal(1 << width)
+    state = sim.Statevector(width, amps / np.linalg.norm(amps))
+    before = state.amplitudes.copy()
+    records = sim._compile(circuit, width, state.amplitudes.itemsize)
+    assert records == sim._compile(circuit, width, state.amplitudes.itemsize)
+    assert records[-1][0] == "end" and all(step != "end" for step, _ in records[:-1])
+    with mock.patch.object(sim, "_ALIGN_FLOOR", 0 if split_any_size else sim._ALIGN_FLOOR):
+        compiled = sim.run_circuit(state, circuit)
+    assert np.array_equal(state.amplitudes, before)
+    folded = padded(functools.reduce(sim.apply_gate, circuit.gates, state), circuit.n_qubits).amplitudes
+    if any(gate.kind == "H" for gate in circuit.gates):
+        assert_allclose(compiled.amplitudes, folded, rtol=0, atol=1e-12)
+    else:
+        assert np.array_equal(compiled.amplitudes, folded)
 
 
 @pytest.mark.parametrize("name", INPUT_LAYER_CIRCUITS)

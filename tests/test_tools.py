@@ -1,10 +1,12 @@
-"""The repository's own tools: tools/code_lines.py's counting rule, and
-tools/bench_pairs.py's alternation and record against a stub benchmark."""
+"""The repository's own tools: tools/code_lines.py's counting rule,
+tools/bench_pairs.py's alternation and record against a stub benchmark, and
+a tiny run of tools/fresh_specs.py."""
 
 import importlib.util
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +25,7 @@ def _load(name):
 
 code_lines = _load("code_lines")
 bench_pairs = _load("bench_pairs")
+fresh_specs = _load("fresh_specs")
 CHILD_METRICS = bench_pairs.CHILD_METRICS
 
 # the lines marked 'code' count, and so do the two lines of the string
@@ -142,6 +145,9 @@ def test_bench_pairs_alternates_the_sides_and_records_each_run(tmp_path):
     assert [(run["round"], run["seed"], run["side"]) for run in record["runs"]] == [
         (r, 10 + r, side) for r, order in enumerate(rounds) for side in order]
     assert all(run["correct"] and run["failed"] == 0 and run["ru_maxrss_kb"] > 0 for run in record["runs"])
+    # each run's own load average, as os.getloadavg gives it, next to the series'
+    assert all(len(run["loadavg"]) == 3 and min(run["loadavg"]) >= 0.0 for run in record["runs"])
+    assert len(record["loadavg_before"]) == len(record["loadavg_after"]) == 3
     assert set(record["metrics"]) == {"call_s", "samples_per_s", "ru_minflt", "ru_maxrss_kb"}
 
     call = record["metrics"]["call_s"]
@@ -201,3 +207,25 @@ def test_bench_pairs_verdict_reads_higher_is_better():
     assert bench_pairs.verdict(_spread([120.0] * 10), rate, 10, 10, "higher", 0.25) == "gain"
     assert bench_pairs.verdict(_spread([80.0] * 10), rate, 0, 10, "higher", 0.1) == "worse than bound"
     assert bench_pairs.verdict(_spread([]), rate, 0, 0, "higher", 0.1) == "no runs"
+
+
+def test_fresh_specs_times_filter_quantum_in_process_at_tiny_sizes():
+    record = fresh_specs.time_filters(ROOT / "src", (2, 3), calls=6, repeats=3, seed=4)
+    assert record["src"] == str(ROOT / "src") and len(record["repeats_us"]) == 3
+    assert record["median_us"] == sorted(record["repeats_us"])[1] > 0
+
+
+def test_fresh_specs_alternates_two_sources_in_child_processes(tmp_path):
+    copy = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "walshdsp", copy / "walshdsp", ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "fresh_specs.py"), "--src", str(ROOT / "src"),
+                           "--src", str(copy), "--rounds", "2", "--ns", "2:2", "--calls", "3", "--repeats", "1"],
+                          capture_output=True, text=True, check=True)
+    record = json.loads(proc.stdout)
+    assert (record["ns"], record["calls"], record["repeats"], record["rounds"]) == ([2, 2], 3, 1, 2)
+    assert [side["src"] for side in record["series"]] == [str(ROOT / "src"), str(copy)]
+    assert all(len(side["median_us"]) == 2 and min(side["median_us"]) > 0 for side in record["series"])
+    assert 0 <= record["second_faster_rounds"] <= 2
+    # round 0 runs the sources in order, round 1 in reverse
+    assert [line.split(":")[0] for line in proc.stderr.splitlines()] == [
+        f"round 0 {ROOT / 'src'}", f"round 0 {copy}", f"round 1 {copy}", f"round 1 {ROOT / 'src'}"]

@@ -20,8 +20,10 @@ parent in the same round, its median against the parent's, the twin's
 reading, the bound from BENCHMARK.json, and the verdict (see verdict()) for
 the change and the twin. Next to the end-to-end metrics
 it records each run's ru_minflt and ru_maxrss as wait4(2) reports them for
-the child, and the machine: CPU count, the Python and numpy versions of the
-interpreter the command starts, load average before and after. Exits 1 if a run failed or returned no result.
+the child, the load average just before it started, and the machine: CPU
+count, the Python and numpy versions of the interpreter the command starts,
+load average before and after the series. Exits 1 if a run failed or
+returned no result.
 """
 
 from __future__ import annotations
@@ -69,8 +71,10 @@ def rotation(round_index: int, sides: tuple[str, ...]) -> list[str]:
 
 
 def run_side(command: list[str], tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in tree: its last stdout line, the child's rusage and the wall time."""
+    """One benchmark run in tree: its last stdout line, the child's rusage, the wall time and
+    the load average just before the child started."""
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    loadavg = os.getloadavg()
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         start = time.perf_counter()
         proc = subprocess.Popen(argv, cwd=tree, stdout=out, stderr=err)
@@ -81,7 +85,8 @@ def run_side(command: list[str], tree: Path, workload: str, seed: int, seconds: 
         err.seek(0)
         lines = out.read().decode(errors="replace").splitlines()
         stderr = err.read().decode(errors="replace")
-    run = {"exit": proc.returncode, "wall_s": wall, "ru_minflt": usage.ru_minflt, "ru_maxrss_kb": usage.ru_maxrss}
+    run = {"exit": proc.returncode, "wall_s": wall, "loadavg": loadavg, "ru_minflt": usage.ru_minflt,
+           "ru_maxrss_kb": usage.ru_maxrss}
     try:
         result = json.loads(lines[-1])
         run.update(correct=result["correct"], attempted=result["attempted"], failed=result["failed"],
